@@ -31,7 +31,6 @@ from .inference import (
     fit,
     plug_in_fit,
 )
-from .functions import mean_values, sigma_values
 from .prediction import (
     average_predictions,
     classical_exceedance,
@@ -373,15 +372,15 @@ def cmd_report(args) -> int:
     level = 0.95
     artifacts = []
 
-    def emit_json(rel, payload):
-        body = {"run_config": _run_config(args)}
-        body.update(payload)
-        _write_atomic(out / rel, _json_text(body))
+    def emit(rel, text):
+        _write_atomic(out / rel, text)
         artifacts.append(rel)
 
+    def emit_json(rel, payload):
+        emit(rel, _json_text({"run_config": _run_config(args), **payload}))
+
     def emit_csv(rel, header, rows):
-        _write_atomic(out / rel, _csv_text(header, rows))
-        artifacts.append(rel)
+        emit(rel, _csv_text(header, rows))
 
     # ---- datasets -----------------------------------------------------
     data = demo.running_example(seed=seed)
@@ -389,18 +388,11 @@ def cmd_report(args) -> int:
     cls_data = simulate_classification(300, demo.CLASSIFICATION_COEF, seed=seed + 1)
     hetero = demo.heteroscedastic_example(seed=seed)
     err_data = demo.measurement_error_example(seed=seed)
-    _write_atomic(out / "data/running_example.csv", data.to_csv_text())
-    _write_atomic(out / "data/subsample_k8.csv", sub.to_csv_text())
-    _write_atomic(out / "data/classification.csv", cls_data.to_csv_text())
-    _write_atomic(out / "data/heteroscedastic.csv", hetero.to_csv_text())
-    _write_atomic(out / "data/running_example_with_errors.csv", err_data.to_csv_text())
-    artifacts += [
-        "data/running_example.csv",
-        "data/subsample_k8.csv",
-        "data/classification.csv",
-        "data/heteroscedastic.csv",
-        "data/running_example_with_errors.csv",
-    ]
+    emit("data/running_example.csv", data.to_csv_text())
+    emit("data/subsample_k8.csv", sub.to_csv_text())
+    emit("data/classification.csv", cls_data.to_csv_text())
+    emit("data/heteroscedastic.csv", hetero.to_csv_text())
+    emit("data/running_example_with_errors.csv", err_data.to_csv_text())
 
     # ---- fits (independent; may run in parallel) ----------------------
     quad, exp2, exp3 = demo.candidate_models()
@@ -566,6 +558,7 @@ def cmd_report(args) -> int:
 
     # ---- variance function ----------------------------------------------
     x_grid = np.round(np.linspace(0.0, 1.0, 21), 10)
+    trend_draws = draws["var_trend"].draws
     rows = []
     for qi, x in enumerate(x_grid):
         const_pred = posterior_predictive(var_const_model, draws["var_const"], float(x),
@@ -575,9 +568,7 @@ def cmd_report(args) -> int:
         civ = interval(const_pred, level)
         tiv = interval(trend_pred, level)
         # posterior-mean scale at this x under the trend model
-        theta_mu, theta_sigma = var_model.split(draws["var_trend"].draws)
-        mu = mean_values(var_model.mean, theta_mu, float(x))
-        sig = sigma_values(var_model.variance, theta_sigma, mu)
+        sig = var_model.sigma(trend_draws, var_model.mu(trend_draws, float(x)))
         rows.append((float(x), civ.lower, civ.upper, tiv.lower, tiv.upper, float(np.mean(sig))))
     emit_csv(
         "variance_function/pi_curves.csv",

@@ -1,25 +1,25 @@
 """Data-generating distributions with log-density, CDF, quantile, and sampling.
 
-Four families cover every model in this package: ``normal``, ``student_t``
-(location-scale), ``bernoulli``, and ``truncated_normal``.  Truncated
-densities are renormalized by the in-bounds probability mass, and truncated
-sampling uses the inverse CDF of the renormalized distribution, so draw
-count and determinism never depend on rejection loops.
-
-Vectorized kernels (``normal_logpdf`` etc.) are exposed alongside the
-:class:`DistributionSpec` surface because the likelihood evaluations in
-:mod:`ppmkit.inference` need per-observation locations and scales.
+The family table :data:`OUTCOMES` is the one place an outcome family
+(``normal``, location-scale ``student_t``, ``bernoulli``) is defined; the
+fourth spec family, ``truncated_normal``, keeps its own kernels.
+Truncated densities are renormalized by the in-bounds probability mass,
+and truncated sampling uses the inverse CDF of the renormalized
+distribution, so draw count and determinism never depend on rejection
+loops.  The vectorized kernels (``normal_logpdf`` etc.) serve the
+likelihood in :mod:`ppmkit.inference`; table entries look them up by
+module-level name at call time, so a wrapper installed on a kernel name
+sees every call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
-
-FAMILIES = ("normal", "student_t", "bernoulli", "truncated_normal")
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _NEG_INF = float("-inf")
@@ -63,65 +63,85 @@ def truncated_normal_logpdf(y, mu, sigma, lower, upper):
     y = np.asarray(y, dtype=float)
     lo = -np.inf if lower is None else lower
     hi = np.inf if upper is None else upper
-    log_mass = _normal_interval_logmass(mu, sigma, lo, hi)
-    out = normal_logpdf(y, mu, sigma) - log_mass
+    mass = special.ndtr((hi - mu) / sigma) - special.ndtr((lo - mu) / sigma)
+    if np.any(mass <= 0.0):
+        raise ValueError("truncation interval carries no probability mass")
+    out = normal_logpdf(y, mu, sigma) - np.log(mass)
     out = np.where((y < lo) | (y > hi), _NEG_INF, out)
     return out if out.ndim else float(out)
 
 
-def _normal_interval_logmass(mu, sigma, lo, hi):
-    """log P(lo <= Y <= hi) for Y ~ Normal(mu, sigma)."""
-    a = (lo - mu) / sigma
-    b = (hi - mu) / sigma
-    mass = special.ndtr(b) - special.ndtr(a)
-    if np.any(mass <= 0.0):
-        raise ValueError("truncation interval carries no probability mass")
-    return np.log(mass)
+# --------------------------------------------------------------------- #
+# The family table
+# --------------------------------------------------------------------- #
 
 
-# --------------------------------------------------------------------- #
-# Vectorized samplers (shared with the prediction layer)
-# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class Family:
+    """An outcome family: ``logpdf``, ``cdf`` and ``ppf`` take ``(y or p, mu, sigma,
+    df)`` and ``sample`` takes ``(mu, sigma, df, rng, size)``, ignoring unused ones."""
+
+    logpdf: Callable
+    cdf: Callable
+    ppf: Callable
+    sample: Callable
+    continuous: bool = True  # can be truncated
+    has_df: bool = False  # takes degrees of freedom df > 0
+
+
+OUTCOMES = {
+    "normal": Family(
+        logpdf=lambda y, mu, sigma, df: normal_logpdf(y, mu, sigma),
+        cdf=lambda y, mu, sigma, df: special.ndtr((y - mu) / sigma),
+        ppf=lambda p, mu, sigma, df: mu + sigma * special.ndtri(p),
+        sample=lambda mu, sigma, df, rng, size: mu + sigma * rng.standard_normal(size),
+    ),
+    "student_t": Family(
+        logpdf=lambda y, mu, sigma, df: student_t_logpdf(y, mu, sigma, df),
+        cdf=lambda y, mu, sigma, df: stats.t.cdf(y, df, loc=mu, scale=sigma),
+        ppf=lambda p, mu, sigma, df: stats.t.ppf(p, df, loc=mu, scale=sigma),
+        sample=lambda mu, sigma, df, rng, size: mu + sigma * rng.standard_t(df, size=size),
+        has_df=True,
+    ),
+    "bernoulli": Family(
+        logpdf=lambda y, mu, sigma, df: bernoulli_logpmf(y, mu),
+        cdf=lambda y, mu, sigma, df: np.where(y < 0.0, 0.0, np.where(y < 1.0, 1.0 - mu, 1.0)),
+        ppf=lambda p, mu, sigma, df: np.where(p <= 1.0 - mu, 0.0, 1.0),
+        sample=lambda mu, sigma, df, rng, size: (rng.random(size) < mu).astype(float),
+        continuous=False,
+    ),
+}
+
+FAMILIES = (*OUTCOMES, "truncated_normal")
 
 
 def sample_values(family, mu, sigma, df, rng, size):
     """Draw ``size`` values from an untruncated family; mu/sigma broadcast."""
-    if family == "normal":
-        return mu + sigma * rng.standard_normal(size)
-    if family == "student_t":
-        return mu + sigma * rng.standard_t(df, size=size)
-    if family == "bernoulli":
-        return (rng.random(size) < mu).astype(float)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in OUTCOMES:
+        raise ValueError(f"unknown family {family!r}")
+    return OUTCOMES[family].sample(mu, sigma, df, rng, size)
 
 
 def sample_truncated(family, mu, sigma, df, lower, upper, rng, size):
-    """Inverse-CDF draws from a truncated normal or Student-t.
+    """Inverse-CDF draws from a continuous family truncated to [lower, upper].
 
     The uniform variate is mapped through the parent CDF restricted to
     [lower, upper], so every draw lands in bounds and the cost per draw is
     constant.
     """
+    entry = OUTCOMES.get(family)
+    if entry is None or not entry.continuous:
+        raise ValueError(f"family {family!r} does not support truncation")
     lo = -np.inf if lower is None else lower
     hi = np.inf if upper is None else upper
     u = rng.random(size)
-    if family == "normal":
-        f_lo = special.ndtr((lo - mu) / sigma)
-        f_hi = special.ndtr((hi - mu) / sigma)
-        mass = f_hi - f_lo
-        if np.any(mass <= 0.0):
-            raise ValueError("truncation interval carries no probability mass")
-        out = mu + sigma * special.ndtri(f_lo + u * mass)
-    elif family == "student_t":
-        f_lo = stats.t.cdf(lo, df, loc=mu, scale=sigma)
-        f_hi = stats.t.cdf(hi, df, loc=mu, scale=sigma)
-        mass = f_hi - f_lo
-        if np.any(mass <= 0.0):
-            raise ValueError("truncation interval carries no probability mass")
-        out = stats.t.ppf(f_lo + u * mass, df, loc=mu, scale=sigma)
-    else:
-        raise ValueError(f"family {family!r} does not support truncation")
-    return np.clip(out, lo, hi)
+    f_lo = entry.cdf(lo, mu, sigma, df)
+    mass = entry.cdf(hi, mu, sigma, df) - f_lo
+    if np.any(mass <= 0.0):
+        raise ValueError("truncation interval carries no probability mass")
+    u = u * mass
+    u += f_lo  # in place: a second array live across the ppf call costs page faults
+    return np.clip(entry.ppf(u, mu, sigma, df), lo, hi)
 
 
 # --------------------------------------------------------------------- #
@@ -174,28 +194,20 @@ class DistributionSpec:
 
     def log_density(self, y):
         """Natural-log density (or mass) at ``y``; -inf off the support."""
-        if self.family == "normal":
-            out = normal_logpdf(y, self.mu, self.sigma)
-        elif self.family == "student_t":
-            out = student_t_logpdf(y, self.mu, self.sigma, self.df)
-        elif self.family == "bernoulli":
-            out = bernoulli_logpmf(y, self.mu)
-        else:
+        if self.family == "truncated_normal":
             out = truncated_normal_logpdf(y, self.mu, self.sigma, self.lower, self.upper)
+        else:
+            out = OUTCOMES[self.family].logpdf(y, self.mu, self.sigma, self.df)
         return float(out) if np.ndim(out) == 0 else out
 
     def cdf(self, y):
         """P(Y <= y)."""
         y = np.asarray(y, dtype=float)
-        if self.family == "normal":
-            out = special.ndtr((y - self.mu) / self.sigma)
-        elif self.family == "student_t":
-            out = stats.t.cdf(y, self.df, loc=self.mu, scale=self.sigma)
-        elif self.family == "bernoulli":
-            out = np.where(y < 0.0, 0.0, np.where(y < 1.0, 1.0 - self.mu, 1.0))
-        else:
+        if self.family == "truncated_normal":
             a, b = self._std_bounds()
             out = stats.truncnorm.cdf(y, a, b, loc=self.mu, scale=self.sigma)
+        else:
+            out = OUTCOMES[self.family].cdf(y, self.mu, self.sigma, self.df)
         return float(out) if np.ndim(out) == 0 else out
 
     def quantile(self, p):
@@ -203,15 +215,11 @@ class DistributionSpec:
         p_arr = np.asarray(p, dtype=float)
         if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
             raise ValueError("quantile requires p in (0, 1)")
-        if self.family == "normal":
-            out = self.mu + self.sigma * special.ndtri(p_arr)
-        elif self.family == "student_t":
-            out = stats.t.ppf(p_arr, self.df, loc=self.mu, scale=self.sigma)
-        elif self.family == "bernoulli":
-            out = np.where(p_arr <= 1.0 - self.mu, 0.0, 1.0)
-        else:
+        if self.family == "truncated_normal":
             a, b = self._std_bounds()
             out = stats.truncnorm.ppf(p_arr, a, b, loc=self.mu, scale=self.sigma)
+        else:
+            out = OUTCOMES[self.family].ppf(p_arr, self.mu, self.sigma, self.df)
         return float(out) if np.ndim(out) == 0 else out
 
     def sample(self, rng, n):

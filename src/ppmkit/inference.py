@@ -31,7 +31,7 @@ from .functions import (
     mean_values,
     sigma_values,
 )
-from .simulate import Dataset
+from .simulate import Dataset, read_csv_rows
 
 _NEG_INF = float("-inf")
 
@@ -75,7 +75,7 @@ class ModelSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.family not in ("normal", "student_t", "bernoulli"):
+        if self.family not in dist.OUTCOMES:
             raise ValueError(f"unsupported outcome family {self.family!r}")
         if self.mean_link not in LINKS:
             raise ValueError(f"unknown link {self.mean_link!r}")
@@ -87,9 +87,9 @@ class ModelSpec:
         else:
             if self.variance is None:
                 raise ValueError(f"{self.family} outcomes need a variance function")
-        if self.family == "student_t":
+        if dist.OUTCOMES[self.family].has_df:
             if self.df is None or not self.df > 0.0:
-                raise ValueError("student_t outcomes require df > 0")
+                raise ValueError(f"{self.family} outcomes require df > 0")
         elif self.df is not None:
             raise ValueError("df only applies to student_t outcomes")
         if self.truncation is not None:
@@ -125,11 +125,18 @@ class ModelSpec:
             names = names + self.variance.parameter_names
         return names
 
-    def split(self, theta):
-        """(theta_mean, theta_sigma) views of a full parameter vector/matrix."""
-        theta = np.asarray(theta, dtype=float)
-        k = self.n_mean_params
-        return theta[..., :k], theta[..., k:]
+    def mu(self, theta, x):
+        """Outcome mean at ``x`` for a parameter vector (k,) or draw matrix (m, k);
+        ``x`` broadcasts against the leading theta axes."""
+        theta_mu = np.asarray(theta, dtype=float)[..., : self.n_mean_params]
+        return apply_link(self.mean_link, mean_values(self.mean, theta_mu, x))
+
+    def sigma(self, theta, mu):
+        """Outcome scale at mean ``mu``; None for a family without a scale."""
+        if self.variance is None:
+            return None
+        theta_sigma = np.asarray(theta, dtype=float)[..., self.n_mean_params :]
+        return sigma_values(self.variance, theta_sigma, mu)
 
     # ---------- serialization ----------
 
@@ -305,10 +312,8 @@ class PosteriorDraws:
 
     @classmethod
     def from_csv(cls, path) -> "PosteriorDraws":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        if not body or header[-1] != "chain":
+        header, body = read_csv_rows(path)
+        if not header or header[-1] != "chain":
             raise ValueError(f"not a draws file: {path}")
         names = tuple(header[:-1])
         draws = np.array([[float(v) for v in r[:-1]] for r in body])
@@ -333,19 +338,12 @@ def log_posterior(model: ModelSpec, data: Dataset, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.n_params,):
         raise ValueError(f"theta must have length {model.n_params}")
-    theta_mu, theta_sigma = model.split(theta)
     with np.errstate(all="ignore"):
-        mu = apply_link(model.mean_link, mean_values(model.mean, theta_mu, data.x))
-        if model.family == "bernoulli":
-            loglik = np.sum(dist.bernoulli_logpmf(data.y, mu))
-        else:
-            sigma = sigma_values(model.variance, theta_sigma, mu)
-            if np.any(~np.isfinite(sigma)) or np.any(sigma <= 0.0):
-                return _NEG_INF
-            if model.family == "normal":
-                loglik = np.sum(dist.normal_logpdf(data.y, mu, sigma))
-            else:
-                loglik = np.sum(dist.student_t_logpdf(data.y, mu, sigma, model.df))
+        mu = model.mu(theta, data.x)
+        sigma = model.sigma(theta, mu)
+        if sigma is not None and (np.any(~np.isfinite(sigma)) or np.any(sigma <= 0.0)):
+            return _NEG_INF
+        loglik = np.sum(dist.OUTCOMES[model.family].logpdf(data.y, mu, sigma, model.df))
     if not np.isfinite(loglik):
         return _NEG_INF
     logprior = 0.0

@@ -4,7 +4,9 @@ A predictive distribution here is an empirical sample of future outcomes
 at one query input.  The posterior predictive pushes every retained
 parameter draw through the model and samples the outcome family; the
 plug-in predictive does the same from a single point estimate, which is
-exactly what ignoring parameter uncertainty means.  Model averaging pools
+exactly what ignoring parameter uncertainty means.  Both, and the
+noisy-input predictive of :func:`ppmkit.uncertainty.propagate_test_error`,
+share one sampler, :func:`_predictive_samples`.  Model averaging pools
 per-model samples into a mixture.
 """
 
@@ -17,7 +19,6 @@ import numpy as np
 from scipy import stats
 
 from . import distributions as dist
-from .functions import apply_link, mean_values, sigma_values
 from .inference import ModelSpec, PosteriorDraws
 
 
@@ -73,24 +74,23 @@ class PredictionInterval:
 
 
 def _predictive_samples(model: ModelSpec, theta, x, per_draw, rng):
-    """Outcome samples for each theta row; returns shape (rows * per_draw,)."""
+    """``per_draw`` outcome samples for each theta row, flattened row by row;
+    ``x`` is one query or one query per row."""
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    theta_mu, theta_sigma = model.split(theta)
-    mu = apply_link(model.mean_link, mean_values(model.mean, theta_mu, x))
-    mu = np.broadcast_to(np.atleast_1d(mu), (theta.shape[0],))
-    size = (theta.shape[0], per_draw)
-    if model.family == "bernoulli":
-        return dist.sample_values("bernoulli", mu[:, None], None, None, rng, size).ravel()
-    sigma = sigma_values(model.variance, theta_sigma, mu)
-    sigma = np.broadcast_to(np.atleast_1d(sigma), (theta.shape[0],))
-    if np.any(sigma <= 0.0):
-        raise ValueError("model scale must be positive at every draw")
+    rows = theta.shape[0]
+    mu = np.broadcast_to(np.atleast_1d(model.mu(theta, x)), (rows,))
+    sigma = model.sigma(theta, mu)
+    if sigma is not None:
+        if np.any(sigma <= 0.0):
+            raise ValueError("model scale must be positive at every draw")
+        sigma = sigma[:, None]
+    size = (rows, per_draw)
     if model.truncation is not None:
         lo, hi = model.truncation
         return dist.sample_truncated(
-            model.family, mu[:, None], sigma[:, None], model.df, lo, hi, rng, size
+            model.family, mu[:, None], sigma, model.df, lo, hi, rng, size
         ).ravel()
-    return dist.sample_values(model.family, mu[:, None], sigma[:, None], model.df, rng, size).ravel()
+    return dist.sample_values(model.family, mu[:, None], sigma, model.df, rng, size).ravel()
 
 
 def posterior_predictive(
@@ -225,17 +225,16 @@ def _proportional_counts(w, total):
 # --------------------------------------------------------------------- #
 
 
-def _classical_center_scale_df(model: ModelSpec, theta_hat, data):
-    if model.family != "normal" or model.variance is None or model.variance.form != "constant":
+def _classical_center_scale_df(model: ModelSpec, theta_hat, data, x):
+    if model.variance is None or (model.family, model.variance.form) != ("normal", "constant"):
         raise ValueError("classical intervals require constant-scale normal regression")
     theta_hat = np.asarray(theta_hat, dtype=float)
-    theta_mu, _ = model.split(theta_hat)
-    fitted = apply_link(model.mean_link, mean_values(model.mean, theta_mu, data.x))
+    fitted = model.mu(theta_hat, data.x)
     df = data.n - model.n_mean_params
     if df < 1:
         raise ValueError("need more observations than mean parameters")
     rss = float(np.sum((data.y - fitted) ** 2))
-    return theta_mu, math.sqrt(rss / df), df
+    return model.mu(theta_hat, x), math.sqrt(rss / df), df
 
 
 def classical_interval(
@@ -246,8 +245,7 @@ def classical_interval(
     scale, with no leverage term."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    theta_mu, scale, df = _classical_center_scale_df(model, theta_hat, data)
-    center = apply_link(model.mean_link, mean_values(model.mean, theta_mu, x))
+    center, scale, df = _classical_center_scale_df(model, theta_hat, data, x)
     half = stats.t.ppf(0.5 + level / 2.0, df) * scale
     return PredictionInterval(level=level, lower=float(center - half), upper=float(center + half))
 
@@ -256,8 +254,7 @@ def classical_exceedance(
     model: ModelSpec, theta_hat, data, x: float, threshold: float, direction: str = "above"
 ) -> float:
     """Tail probability of the classical plug-in predictive at ``x``."""
-    theta_mu, scale, df = _classical_center_scale_df(model, theta_hat, data)
-    center = apply_link(model.mean_link, mean_values(model.mean, theta_mu, x))
+    center, scale, df = _classical_center_scale_df(model, theta_hat, data, x)
     z = (threshold - center) / scale
     if direction == "above":
         return float(stats.t.sf(z, df))

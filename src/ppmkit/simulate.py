@@ -20,6 +20,19 @@ from .functions import MeanFunctionSpec, mean_values
 TRUE_MODEL = MeanFunctionSpec("true_model")
 
 
+def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    """(header, body rows) of a CSV file with data rows that all match the header width."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ValueError(f"{path}, line {len(rows) + 1}: no data rows")
+    header, body = rows[0], rows[1:]
+    for line, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}, line {line}: expected {len(header)} cells, got {len(row)}")
+    return header, body
+
+
 def _readonly(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -98,11 +111,7 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, note: str = "") -> "Dataset":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or len(rows) < 2:
-            raise ValueError(f"no data rows in {path}")
-        header, body = rows[0], rows[1:]
+        header, body = read_csv_rows(path)
         cols = {name: np.array([float(r[i]) for r in body]) for i, name in enumerate(header)}
         if "x" in cols:
             return cls(

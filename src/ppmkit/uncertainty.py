@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distributions as dist
-from .functions import apply_link, mean_values, sigma_values
 from .inference import ModelSpec, PosteriorDraws
-from .prediction import PredictiveDistribution, average_predictions, posterior_predictive
+from .prediction import (
+    PredictiveDistribution,
+    _predictive_samples,
+    average_predictions,
+    posterior_predictive,
+)
 from .simulate import Dataset
 
 
@@ -95,20 +98,10 @@ def propagate_test_error(
         raise ValueError("n_x must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
+    # draw order: input values, then draw indices, then outcomes
     x_draws = rng.normal(x.value, x.standard_error, n_x)
     idx = rng.integers(0, draws.n_draws, n_x)
-    theta = draws.draws[idx]
-    theta_mu, theta_sigma = model.split(theta)
-    mu = apply_link(model.mean_link, mean_values(model.mean, theta_mu, x_draws))
-    if model.family == "bernoulli":
-        samples = dist.sample_values("bernoulli", mu, None, None, rng, n_x)
-    else:
-        sigma = sigma_values(model.variance, theta_sigma, mu)
-        if model.truncation is not None:
-            lo, hi = model.truncation
-            samples = dist.sample_truncated(model.family, mu, sigma, model.df, lo, hi, rng, n_x)
-        else:
-            samples = dist.sample_values(model.family, mu, sigma, model.df, rng, n_x)
+    samples = _predictive_samples(model, draws.draws[idx], x_draws, 1, rng)
     return PredictiveDistribution(
         x=x.value,
         samples=samples,
@@ -152,8 +145,7 @@ def classify_predictive(model: ModelSpec, draws: PosteriorDraws, x):
         x = float(x[0])
     elif x.shape != (model.mean.n_features,):
         raise ValueError(f"query must have {model.mean.n_features} features")
-    theta_mu, _ = model.split(draws.draws)
-    p_draws = apply_link(model.mean_link, mean_values(model.mean, theta_mu, x))
+    p_draws = model.mu(draws.draws, x)
     return np.asarray(p_draws, dtype=float), float(np.mean(p_draws))
 
 

@@ -80,6 +80,25 @@ class TestFit:
                    "--out-draws", str(tmp_path / "d.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command, text", [
+        ("fit", "x,y\n0.1,0.2\n0.3\n"),
+        ("predict", ""),
+    ])
+    def test_malformed_csv_is_usage_error(self, workdir, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        model = str(workdir / "model.json")
+        if command == "fit":
+            argv = ["fit", "--data", str(bad), "--model", model,
+                    "--out-draws", str(tmp_path / "d.csv")]
+        else:
+            argv = ["predict", "--draws", str(bad), "--model", model, "--x", "0.5",
+                    "--out-summary", str(tmp_path / "s.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.csv, line" in err
+        assert "Traceback" not in err
+
     def test_plug_in_writes_single_row(self, workdir, tmp_path):
         out = tmp_path / "params.csv"
         assert main(["fit", "--data", str(workdir / "data.csv"),

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from ppmkit import DistributionSpec, bernoulli, normal, student_t, truncated_normal
+from ppmkit.distributions import OUTCOMES, sample_truncated
 
 # Frozen high-precision oracle values (mpmath, 30 digits).
 NORM01_LOGPDF_AT_0 = -0.91893853320467274178
@@ -258,3 +259,22 @@ class TestJson:
     def test_json_keys(self):
         obj = truncated_normal(0.0, 1.0, lower=0.0).to_json()
         assert set(obj) == {"family", "mu", "sigma", "df", "lower", "upper"}
+
+
+class TestFamilyTable:
+    def test_continuous_cdf_inverts_ppf(self):
+        p = np.linspace(0.01, 0.99, 9)
+        for entry in OUTCOMES.values():
+            if entry.continuous:
+                y = entry.ppf(p, 0.4, 1.7, 5.0)
+                np.testing.assert_allclose(entry.cdf(y, 0.4, 1.7, 5.0), p, atol=1e-12)
+
+    def test_truncated_draws_land_in_bounds_for_every_continuous_family(self):
+        for name, entry in OUTCOMES.items():
+            rng = np.random.default_rng(2)
+            if not entry.continuous:
+                with pytest.raises(ValueError, match="does not support truncation"):
+                    sample_truncated(name, 0.5, None, None, 0.0, 1.0, rng, 10)
+                continue
+            s = sample_truncated(name, 0.0, 1.0, 3.0, -0.5, 2.0, rng, 2000)
+            assert s.min() >= -0.5 and s.max() <= 2.0

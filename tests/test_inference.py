@@ -278,6 +278,23 @@ class TestMichaelisMenten:
         np.testing.assert_allclose(theta[:2], [t1, t2], atol=1e-3)
 
 
+class TestPushforward:
+    def test_mean_link_and_scale_over_a_draw_matrix(self):
+        m = ModelSpec(mean=MeanFunctionSpec("linear"), mean_link="softplus",
+                      variance=VarianceFunctionSpec("linear_in_mu"))
+        theta = np.array([[0.5, 2.0, -1.0, 0.3], [1.0, -1.0, 0.0, 1.0]])
+        mu = m.mu(theta, 0.25)
+        np.testing.assert_allclose(mu, np.log1p(np.exp(theta[:, 0] + 0.25 * theta[:, 1])))
+        np.testing.assert_allclose(m.sigma(theta, mu),
+                                   np.log1p(np.exp(theta[:, 2] + theta[:, 3] * mu)))
+
+    def test_bernoulli_has_no_scale(self):
+        m = ModelSpec(mean=MeanFunctionSpec("linear"), family="bernoulli", mean_link="logit")
+        theta = np.array([0.0, 1.0])
+        assert m.mu(theta, 0.0) == 0.5
+        assert m.sigma(theta, 0.5) is None
+
+
 class TestPosteriorDrawsContainer:
     def test_immutable(self):
         data = simulate_dataset(20, seed=1)
@@ -294,6 +311,18 @@ class TestPosteriorDrawsContainer:
         np.testing.assert_array_equal(back.draws, draws.draws)
         np.testing.assert_array_equal(back.chain, draws.chain)
         assert back.parameter_names == draws.parameter_names
+
+    def test_csv_reader_rejects_an_empty_file(self, tmp_path):
+        p = tmp_path / "draws.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match=r"draws\.csv, line 1: no data rows"):
+            PosteriorDraws.from_csv(p)
+
+    def test_csv_reader_rejects_a_ragged_row(self, tmp_path):
+        p = tmp_path / "draws.csv"
+        p.write_text("theta1,sigma,chain\n0.1,0.2,0\n0.3,1\n")
+        with pytest.raises(ValueError, match=r"draws\.csv, line 3: expected 3 cells"):
+            PosteriorDraws.from_csv(p)
 
 
 class TestPlugInFit:

@@ -54,6 +54,18 @@ class TestDataset:
         np.testing.assert_array_equal(back.y, d.y)
         assert back.n_features == 2
 
+    def test_csv_reader_rejects_an_empty_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match=r"d\.csv, line 1: no data rows"):
+            Dataset.from_csv(p)
+
+    def test_csv_reader_rejects_a_ragged_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n0.1,0.2\n0.3,0.4\n0.5\n")
+        with pytest.raises(ValueError, match=r"d\.csv, line 4: expected 2 cells"):
+            Dataset.from_csv(p)
+
 
 class TestSimulateDataset:
     def test_noiseless_at_origin(self):

@@ -156,6 +156,27 @@ class TestPropagateTestError:
         with pytest.raises(ValueError):
             propagate_test_error(model, draws, MeasuredValue(0.15, 0.06), n_x=0)
 
+    def test_non_positive_scale_rejected(self):
+        model = exp3_model()
+        draws = PosteriorDraws(
+            draws=np.tile([3.0, 1.0, 0.2, -0.5], (500, 1)),
+            chain=np.repeat([0, 1], 250),
+            parameter_names=model.parameter_names,
+        )
+        with pytest.raises(ValueError, match="model scale must be positive at every draw"):
+            propagate_test_error(model, draws, MeasuredValue(0.15, 0.06), n_x=500)
+
+    def test_draw_order_inputs_then_indices_then_outcomes(self, exp3_fit):
+        model, draws = exp3_fit
+        got = propagate_test_error(model, draws, MeasuredValue(0.15, 0.06), n_x=200,
+                                   rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.15, 0.06, 200)
+        theta = draws.draws[rng.integers(0, draws.n_draws, 200)]
+        mu = theta[:, 2] + theta[:, 1] * -np.expm1(-theta[:, 0] * x)
+        expected = mu + theta[:, 3] * rng.standard_normal(200)
+        np.testing.assert_allclose(got.samples, expected, rtol=1e-12)
+
 
 class TestPoolEnsemble:
     def test_single_fit_is_identity(self):
