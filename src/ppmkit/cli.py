@@ -10,9 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -42,6 +40,7 @@ from .prediction import (
 )
 from .simulate import (
     Dataset,
+    csv_text,
     simulate_classification,
     simulate_dataset,
     subsample_every_kth,
@@ -78,15 +77,6 @@ def _write_atomic(path, text: str) -> None:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
-    return buf.getvalue()
 
 
 def _run_config(args: argparse.Namespace) -> dict:
@@ -194,7 +184,7 @@ def cmd_fit(args) -> int:
     model = ModelSpec.load(_require_file(args.model, "model spec"))
     if args.plug_in:
         theta = plug_in_fit(model, data, seed=args.seed)
-        _write_atomic(args.out_draws, _csv_text(model.parameter_names, [list(theta)]))
+        _write_atomic(args.out_draws, csv_text(model.parameter_names, [list(theta)]))
         if args.out_diagnostics:
             _write_atomic(
                 args.out_diagnostics,
@@ -309,7 +299,7 @@ def cmd_predict(args) -> int:
         else:
             raise UsageError("--out-samples with several models requires --combine")
         rows = [(float(p.x), float(s)) for p in series for s in p.samples]
-        _write_atomic(args.out_samples, _csv_text(["x", "sample"], rows))
+        _write_atomic(args.out_samples, csv_text(["x", "sample"], rows))
 
     if args.out_widths:
         if len(queries) < 2:
@@ -319,7 +309,7 @@ def cmd_predict(args) -> int:
         except ValueError as err:
             raise UsageError(str(err)) from err
         rows = [(name, x, w) for name, x, w in table.rows()]
-        _write_atomic(args.out_widths, _csv_text(["model", "x", "width"], rows))
+        _write_atomic(args.out_widths, csv_text(["model", "x", "width"], rows))
     return 0
 
 
@@ -347,18 +337,13 @@ def cmd_decompose(args) -> int:
         grid = _parse_grid(args.boundary_grid)
         band = decision_boundary_band(draws, model, grid, level=args.level)
         rows = list(zip(band.x1, band.lower, band.upper))
-        _write_atomic(args.out_boundary, _csv_text(["x1", "lower", "upper"], rows))
+        _write_atomic(args.out_boundary, csv_text(["x1", "lower", "upper"], rows))
     return 0
 
 
 # --------------------------------------------------------------------- #
 # report
 # --------------------------------------------------------------------- #
-
-
-def _fit_job(job):
-    model, data, config = job
-    return fit(model, data, config)
 
 
 def _predictive_rng(seed, section, index):
@@ -380,7 +365,7 @@ def cmd_report(args) -> int:
         emit(rel, _json_text({"run_config": _run_config(args), **payload}))
 
     def emit_csv(rel, header, rows):
-        emit(rel, _csv_text(header, rows))
+        emit(rel, csv_text(header, rows))
 
     # ---- datasets -----------------------------------------------------
     data = demo.running_example(seed=seed)
@@ -409,16 +394,17 @@ def cmd_report(args) -> int:
         ("var_const", var_const_model, hetero),
         ("logistic", cls_model, cls_data),
     ] + [(f"gen_{i}", exp3, g) for i, g in enumerate(generated)]
-    job_list = [
-        (model, d, demo.fit_settings(demo.preset_for(model), seed + 1000 * (i + 1), args.fast))
-        for i, (_, model, d) in enumerate(jobs)
+    names, models, datasets = zip(*jobs)
+    configs = [
+        demo.fit_settings(demo.preset_for(model), seed + 1000 * (i + 1), args.fast)
+        for i, model in enumerate(models)
     ]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            fitted = list(pool.map(_fit_job, job_list))
+            fitted = list(pool.map(fit, models, datasets, configs))
     else:
-        fitted = [_fit_job(j) for j in job_list]
-    draws = {name: result for (name, _, _), result in zip(jobs, fitted)}
+        fitted = list(map(fit, models, datasets, configs))
+    draws = dict(zip(names, fitted))
     convergence = {
         name: d.diagnostics.to_json() for name, d in draws.items() if d.diagnostics is not None
     }

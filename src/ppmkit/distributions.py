@@ -1,15 +1,16 @@
 """Data-generating distributions with log-density, CDF, quantile, and sampling.
 
 The family table :data:`OUTCOMES` is the one place an outcome family
-(``normal``, location-scale ``student_t``, ``bernoulli``) is defined; the
-fourth spec family, ``truncated_normal``, keeps its own kernels.
-Truncated densities are renormalized by the in-bounds probability mass,
-and truncated sampling uses the inverse CDF of the renormalized
-distribution, so draw count and determinism never depend on rejection
-loops.  The vectorized kernels (``normal_logpdf`` etc.) serve the
-likelihood in :mod:`ppmkit.inference`; table entries look them up by
-module-level name at call time, so a wrapper installed on a kernel name
-sees every call.
+(``normal``, location-scale ``student_t``, ``bernoulli``) is defined; a
+``truncated_normal`` spec is the ``normal`` entry plus bounds and the
+in-bounds mass, computed once.  Truncated quantiles and draws share one
+inverse-CDF routine (no rejection loops).  It works on the mirror image
+through ``mu`` of an interval above ``mu``, exact as every continuous entry
+is symmetric, so a deep upper tail's mass is a lower-tail CDF value, not
+``1 - F(lower)``, which rounds to 0 about 8 scales out.  A normal interval's
+mass underflows about 37 scales out; such bounds are refused.  Entries call
+the kernels (``normal_logpdf`` etc.) by module-level name, so a wrapper
+installed on a kernel name sees every call.
 """
 
 from __future__ import annotations
@@ -58,19 +59,6 @@ def bernoulli_logpmf(y, p):
     return out if out.ndim else float(out)
 
 
-def truncated_normal_logpdf(y, mu, sigma, lower, upper):
-    """Normal log-density renormalized to [lower, upper]; -inf outside."""
-    y = np.asarray(y, dtype=float)
-    lo = -np.inf if lower is None else lower
-    hi = np.inf if upper is None else upper
-    mass = special.ndtr((hi - mu) / sigma) - special.ndtr((lo - mu) / sigma)
-    if np.any(mass <= 0.0):
-        raise ValueError("truncation interval carries no probability mass")
-    out = normal_logpdf(y, mu, sigma) - np.log(mass)
-    out = np.where((y < lo) | (y > hi), _NEG_INF, out)
-    return out if out.ndim else float(out)
-
-
 # --------------------------------------------------------------------- #
 # The family table
 # --------------------------------------------------------------------- #
@@ -112,7 +100,8 @@ OUTCOMES = {
     ),
 }
 
-FAMILIES = (*OUTCOMES, "truncated_normal")
+# Each bounded spec family and the OUTCOMES entry it truncates.
+BOUNDED = {"truncated_normal": "normal"}
 
 
 def sample_values(family, mu, sigma, df, rng, size):
@@ -122,31 +111,54 @@ def sample_values(family, mu, sigma, df, rng, size):
     return OUTCOMES[family].sample(mu, sigma, df, rng, size)
 
 
-def sample_truncated(family, mu, sigma, df, lower, upper, rng, size):
-    """Inverse-CDF draws from a continuous family truncated to [lower, upper].
+def _truncate(entry, mu, sigma, df, lower, upper):
+    """(lo, hi, flip, f_lo, mass) of ``entry`` truncated to [lower, upper]; where the interval
+    lies above ``mu`` (flip), f_lo and mass belong to its mirror image through ``mu``."""
+    lo = -np.inf if lower is None else lower
+    hi = np.inf if upper is None else upper
+    if not lo < hi:
+        raise ValueError("require lower < upper")
+    flip = lo > mu  # exact: normal and student_t are symmetric about mu
+    a, b = lo, hi
+    if np.any(flip):
+        a, b = np.where(flip, mu + (mu - hi), lo), np.where(flip, mu + (mu - lo), hi)
+    f_lo = entry.cdf(a, mu, sigma, df)
+    mass = entry.cdf(b, mu, sigma, df) - f_lo
+    if np.any(mass <= 0.0):
+        raise ValueError("truncation interval carries no probability mass")
+    return lo, hi, flip, f_lo, mass
 
-    The uniform variate is mapped through the parent CDF restricted to
-    [lower, upper], so every draw lands in bounds and the cost per draw is
-    constant.
-    """
+
+def _truncated_ppf(entry, u, mu, sigma, df, truncation):
+    """Truncated inverse CDF at ``u`` in [0, 1); ``u`` may be overwritten."""
+    lo, hi, flip, f_lo, mass = truncation
+    mirror = np.any(flip)
+    if mirror:
+        u = np.where(flip, 1.0 - u, u)
+    u *= mass  # in place: a second array live across the ppf call costs page faults
+    u += f_lo
+    y = entry.ppf(u, mu, sigma, df)
+    if mirror:
+        y = np.where(flip, mu + (mu - y), y)
+    return np.clip(y, lo, hi)
+
+
+def sample_truncated(family, mu, sigma, df, lower, upper, rng, size):
+    """Inverse-CDF draws from a continuous family truncated to [lower, upper]: every
+    draw lands in bounds and the cost per draw is constant."""
     entry = OUTCOMES.get(family)
     if entry is None or not entry.continuous:
         raise ValueError(f"family {family!r} does not support truncation")
-    lo = -np.inf if lower is None else lower
-    hi = np.inf if upper is None else upper
-    u = rng.random(size)
-    f_lo = entry.cdf(lo, mu, sigma, df)
-    mass = entry.cdf(hi, mu, sigma, df) - f_lo
-    if np.any(mass <= 0.0):
-        raise ValueError("truncation interval carries no probability mass")
-    u = u * mass
-    u += f_lo  # in place: a second array live across the ppf call costs page faults
-    return np.clip(entry.ppf(u, mu, sigma, df), lo, hi)
+    truncation = _truncate(entry, mu, sigma, df, lower, upper)
+    return _truncated_ppf(entry, rng.random(size), mu, sigma, df, truncation)
 
 
 # --------------------------------------------------------------------- #
 # Spec surface
 # --------------------------------------------------------------------- #
+
+
+_JSON_KEYS = ("family", "mu", "sigma", "df", "lower", "upper")  # the field order
 
 
 @dataclass(frozen=True)
@@ -165,100 +177,88 @@ class DistributionSpec:
     df: float | None = None
     lower: float | None = None
     upper: float | None = None
+    _truncation = None  # not a field: __post_init__ sets it (and _log_mass) when bounded
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if BOUNDED.get(self.family, self.family) not in OUTCOMES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "bernoulli":
             if not 0.0 <= self.mu <= 1.0:
                 raise ValueError("bernoulli mu must lie in [0, 1]")
             if self.sigma is not None:
                 raise ValueError("bernoulli takes no scale parameter")
-        else:
-            if self.sigma is None or not self.sigma > 0.0:
-                raise ValueError("sigma must be a positive real")
+        elif self.sigma is None or not self.sigma > 0.0:
+            raise ValueError("sigma must be a positive real")
         if self.family == "student_t":
             if self.df is None or not self.df > 0.0:
                 raise ValueError("student_t requires df > 0")
         elif self.df is not None:
             raise ValueError("df only applies to student_t")
-        if self.family == "truncated_normal":
-            lo = -np.inf if self.lower is None else self.lower
-            hi = np.inf if self.upper is None else self.upper
-            if not lo < hi:
-                raise ValueError("require lower < upper")
+        if self.family in BOUNDED:
+            t = _truncate(self._entry, self.mu, self.sigma, None, self.lower, self.upper)
+            object.__setattr__(self, "_truncation", t)
+            object.__setattr__(self, "_log_mass", np.log(t[4]))
         elif self.lower is not None or self.upper is not None:
             raise ValueError("bounds only apply to truncated_normal")
+
+    @property
+    def _entry(self) -> Family:
+        return OUTCOMES[BOUNDED.get(self.family, self.family)]
 
     # ---------- densities ----------
 
     def log_density(self, y):
         """Natural-log density (or mass) at ``y``; -inf off the support."""
-        if self.family == "truncated_normal":
-            out = truncated_normal_logpdf(y, self.mu, self.sigma, self.lower, self.upper)
-        else:
-            out = OUTCOMES[self.family].logpdf(y, self.mu, self.sigma, self.df)
+        out = self._entry.logpdf(y, self.mu, self.sigma, self.df)
+        if self._truncation is not None:
+            y = np.asarray(y, dtype=float)
+            lo, hi = self._truncation[:2]
+            out = np.where((y < lo) | (y > hi), _NEG_INF, out - self._log_mass)
         return float(out) if np.ndim(out) == 0 else out
 
     def cdf(self, y):
         """P(Y <= y)."""
         y = np.asarray(y, dtype=float)
-        if self.family == "truncated_normal":
-            a, b = self._std_bounds()
-            out = stats.truncnorm.cdf(y, a, b, loc=self.mu, scale=self.sigma)
+        if self._truncation is None:
+            out = self._entry.cdf(y, self.mu, self.sigma, self.df)
         else:
-            out = OUTCOMES[self.family].cdf(y, self.mu, self.sigma, self.df)
+            lo, hi, flip, f_lo, mass = self._truncation
+            y = np.clip(y, lo, hi)
+            if flip:
+                y = self.mu + (self.mu - y)
+            out = (self._entry.cdf(y, self.mu, self.sigma, self.df) - f_lo) / mass
+            if flip:
+                out = 1.0 - out
         return float(out) if np.ndim(out) == 0 else out
 
     def quantile(self, p):
         """Inverse CDF at ``p`` in the open interval (0, 1)."""
-        p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+        p = np.array(p, dtype=float)
+        if np.any(p <= 0.0) or np.any(p >= 1.0):
             raise ValueError("quantile requires p in (0, 1)")
-        if self.family == "truncated_normal":
-            a, b = self._std_bounds()
-            out = stats.truncnorm.ppf(p_arr, a, b, loc=self.mu, scale=self.sigma)
+        if self._truncation is None:
+            out = self._entry.ppf(p, self.mu, self.sigma, self.df)
         else:
-            out = OUTCOMES[self.family].ppf(p_arr, self.mu, self.sigma, self.df)
+            out = _truncated_ppf(self._entry, p, self.mu, self.sigma, self.df, self._truncation)
         return float(out) if np.ndim(out) == 0 else out
 
     def sample(self, rng, n):
         """``n`` independent draws using ``rng`` (numpy Generator)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.family == "truncated_normal":
-            return sample_truncated(
-                "normal", self.mu, self.sigma, None, self.lower, self.upper, rng, n
-            )
+        if self._truncation is not None:
+            return sample_truncated(BOUNDED[self.family], self.mu, self.sigma, self.df,
+                                    self.lower, self.upper, rng, n)
         return sample_values(self.family, self.mu, self.sigma, self.df, rng, n)
-
-    def _std_bounds(self):
-        a = -np.inf if self.lower is None else (self.lower - self.mu) / self.sigma
-        b = np.inf if self.upper is None else (self.upper - self.mu) / self.sigma
-        return a, b
 
     # ---------- serialization ----------
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "df": self.df,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
+        return {key: getattr(self, key) for key in _JSON_KEYS}
 
     @classmethod
     def from_json(cls, obj: dict) -> "DistributionSpec":
-        return cls(
-            family=obj["family"],
-            mu=obj["mu"],
-            sigma=obj.get("sigma"),
-            df=obj.get("df"),
-            lower=obj.get("lower"),
-            upper=obj.get("upper"),
-        )
+        return cls(obj["family"], obj["mu"], *(obj.get(key) for key in _JSON_KEYS[2:]))
 
 
 def normal(mu: float, sigma: float) -> DistributionSpec:

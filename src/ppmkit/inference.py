@@ -11,8 +11,6 @@ identical to sequential execution.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -31,7 +29,7 @@ from .functions import (
     mean_values,
     sigma_values,
 )
-from .simulate import Dataset, read_csv_rows
+from .simulate import Dataset, csv_text, read_csv_rows
 
 _NEG_INF = float("-inf")
 
@@ -303,21 +301,21 @@ class PosteriorDraws:
             fh.write(self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(list(self.parameter_names) + ["chain"])
-        for row, c in zip(self.draws, self.chain):
-            w.writerow([repr(float(v)) for v in row] + [int(c)])
-        return buf.getvalue()
+        rows = ((*row, int(c)) for row, c in zip(self.draws, self.chain))
+        return csv_text([*self.parameter_names, "chain"], rows)
 
     @classmethod
     def from_csv(cls, path) -> "PosteriorDraws":
-        header, body = read_csv_rows(path)
-        if not header or header[-1] != "chain":
-            raise ValueError(f"not a draws file: {path}")
+        header, values = read_csv_rows(path)
+        if header[-1] != "chain":
+            raise ValueError(f"{path}, line 1: not a draws file (no final chain column)")
         names = tuple(header[:-1])
-        draws = np.array([[float(v) for v in r[:-1]] for r in body])
-        chain = np.array([int(r[-1]) for r in body])
+        draws, chain = values[:, :-1], values[:, -1]
+        bad = chain != np.round(chain)
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValueError(f"{path}, line {i + 2}: chain label {chain[i]:g} is not an integer")
+        chain = chain.astype(int)
         diag = None
         try:
             diag = compute_diagnostics(draws, chain, names)

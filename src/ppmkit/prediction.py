@@ -76,6 +76,9 @@ class PredictionInterval:
 def _predictive_samples(model: ModelSpec, theta, x, per_draw, rng):
     """``per_draw`` outcome samples for each theta row, flattened row by row;
     ``x`` is one query or one query per row."""
+    if model.mean.n_features != 1:
+        raise ValueError(f"model {model.name!r} takes {model.mean.n_features} features; "
+                         "predictive sampling takes one scalar query")
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     rows = theta.shape[0]
     mu = np.broadcast_to(np.atleast_1d(model.mu(theta, x)), (rows,))

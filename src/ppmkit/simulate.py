@@ -20,17 +20,39 @@ from .functions import MeanFunctionSpec, mean_values
 TRUE_MODEL = MeanFunctionSpec("true_model")
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """(header, body rows) of a CSV file with data rows that all match the header width."""
+def read_csv_rows(path) -> tuple[list[str], np.ndarray]:
+    """(header, values) of a numeric CSV file: ``values`` holds one row of finite
+    floats per data row.  A malformed file raises ``ValueError("<path>, line N: ...")``."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise ValueError(f"{path}, line {len(rows) + 1}: no data rows")
     header, body = rows[0], rows[1:]
+    if not header or not all(header) or len(set(header)) != len(header):
+        raise ValueError(f"{path}, line 1: column names must be distinct and non-empty")
+    values = []
     for line, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}, line {line}: expected {len(header)} cells, got {len(row)}")
-    return header, body
+        try:
+            values.append(list(map(float, row)))
+        except ValueError:
+            raise ValueError(f"{path}, line {line}: non-numeric cell in {row}") from None
+    values = np.array(values)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}, line {np.argmax(bad) + 2}: non-finite cell")
+    return header, values
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of ``rows`` under ``header``, floats by ``repr`` so they read back exactly."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+    return buf.getvalue()
 
 
 def _readonly(a):
@@ -88,31 +110,19 @@ class Dataset:
             fh.write(self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         if self.x.ndim == 2:
             header = [f"x{j + 1}" for j in range(self.x.shape[1])] + ["y"]
-            w.writerow(header)
-            for xi, yi in zip(self.x, self.y):
-                w.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
-            return buf.getvalue()
-        header = ["x", "y"]
-        cols = [self.x, self.y]
-        if self.x_se is not None:
-            header.append("x_se")
-            cols.append(self.x_se)
-        if self.y_se is not None:
-            header.append("y_se")
-            cols.append(self.y_se)
-        w.writerow(header)
-        for row in zip(*cols):
-            w.writerow([repr(float(v)) for v in row])
-        return buf.getvalue()
+            return csv_text(header, np.column_stack([self.x, self.y]))
+        cols = {"x": self.x, "y": self.y, "x_se": self.x_se, "y_se": self.y_se}
+        cols = {name: col for name, col in cols.items() if col is not None}
+        return csv_text(list(cols), zip(*cols.values()))
 
     @classmethod
     def from_csv(cls, path, note: str = "") -> "Dataset":
-        header, body = read_csv_rows(path)
-        cols = {name: np.array([float(r[i]) for r in body]) for i, name in enumerate(header)}
+        header, values = read_csv_rows(path)
+        cols = dict(zip(header, values.T))
+        if "y" not in cols:
+            raise ValueError(f"{path}, line 1: dataset header {header!r} has no y column")
         if "x" in cols:
             return cls(
                 x=cols["x"],
@@ -121,9 +131,10 @@ class Dataset:
                 y_se=cols.get("y_se"),
                 note=note,
             )
-        feature_names = sorted((n for n in cols if n.startswith("x")), key=lambda n: int(n[1:]))
-        if not feature_names or "y" not in cols:
-            raise ValueError(f"unrecognized dataset header {header!r}")
+        feature_names = sorted((n for n in cols if n[:1] == "x" and n[1:].isdigit()),
+                               key=lambda n: int(n[1:]))
+        if not feature_names:
+            raise ValueError(f"{path}, line 1: dataset header {header!r} has no x column")
         x = np.column_stack([cols[n] for n in feature_names])
         return cls(x=x, y=cols["y"], note=note)
 

@@ -83,6 +83,12 @@ class TestFit:
     @pytest.mark.parametrize("command, text", [
         ("fit", "x,y\n0.1,0.2\n0.3\n"),
         ("predict", ""),
+        ("fit", "x,y\n0.1,abc\n"),
+        ("fit", "x,y\n0.1,0.2\n0.3,nan\n"),
+        ("fit", "x,x,y\n0.1,0.2,0.3\n"),
+        ("fit", "x,,y\n0.1,0.2,0.3\n"),
+        ("fit", "x,y_se\n0.1,0.2\n"),
+        ("predict", "theta1,theta2,sigma,chain\n0.1,0.2,0.3,0\n0.1,0.2,0.3,1.5\n"),
     ])
     def test_malformed_csv_is_usage_error(self, workdir, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.csv"
@@ -264,6 +270,13 @@ class TestDecompose:
         widths = [float(r.split(",")[2]) - float(r.split(",")[1]) for r in rows]
         assert xs == sorted(xs)
         assert all(w >= 0.0 for w in widths)
+
+    def test_scalar_predict_on_two_feature_model_is_usage_error(self, cls_fit, tmp_path, capsys):
+        rc = main(["predict", "--draws", str(cls_fit / "draws.csv"),
+                   "--model", str(cls_fit / "cls.json"), "--x", "0.5",
+                   "--out-summary", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert "takes 2 features" in capsys.readouterr().err
 
     def test_regression_model_rejected(self, workdir, tmp_path):
         rc = main(["decompose", "--draws", str(workdir / "draws.csv"),

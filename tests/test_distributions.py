@@ -1,10 +1,13 @@
 """Distribution family tests: frozen closed-form oracles, quadrature
 normalization, CDF/quantile round trips, and sampling consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ppmkit import DistributionSpec, bernoulli, normal, student_t, truncated_normal
@@ -278,3 +281,87 @@ class TestFamilyTable:
                 continue
             s = sample_truncated(name, 0.0, 1.0, 3.0, -0.5, 2.0, rng, 2000)
             assert s.min() >= -0.5 and s.max() <= 2.0
+
+
+# Intervals from deep in the lower tail to deep in the upper tail, in scales
+# from the location: (offset of the lower end or None, width or None).
+_scales = st.floats(-30.0, 30.0)
+_widths = st.one_of(st.none(), st.floats(0.01, 10.0))
+
+
+def _bounds(mu, sigma, offset, width):
+    if offset is None:  # upper bound only
+        return None, mu + sigma * width
+    lower = mu + sigma * offset
+    return lower, None if width is None else lower + sigma * width
+
+
+class TestSharedTruncation:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        family=st.sampled_from(["normal", "student_t"]),
+        mu=st.floats(-10.0, 10.0),
+        sigma=st.floats(0.1, 10.0),
+        df=st.floats(1.0, 30.0),
+        offset=st.one_of(st.none(), _scales),
+        width=_widths,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_truncated_draws_land_in_bounds(self, family, mu, sigma, df, offset, width, seed):
+        if offset is None and width is None:
+            width = 1.0
+        lower, upper = _bounds(mu, sigma, offset, width)
+        draws = sample_truncated(family, mu, sigma, df, lower, upper,
+                                 np.random.default_rng(seed), 50)
+        assert np.all(draws >= (-np.inf if lower is None else lower))
+        assert np.all(draws <= (np.inf if upper is None else upper))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        mu=st.floats(-10.0, 10.0),
+        sigma=st.floats(0.1, 10.0),
+        offset=st.one_of(st.none(), _scales),
+        width=_widths,
+    )
+    def test_bounded_spec_quantile_inverts_cdf(self, mu, sigma, offset, width):
+        if offset is None and width is None:
+            width = 1.0
+        lower, upper = _bounds(mu, sigma, offset, width)
+        d = truncated_normal(mu, sigma, lower=lower, upper=upper)
+        ys = np.asarray(d.quantile(np.linspace(0.01, 0.99, 21)))
+        assert np.all(np.diff(ys) >= 0.0)
+        np.testing.assert_allclose(d.quantile(d.cdf(ys)), ys, atol=1e-6 * sigma)
+
+    def test_deep_upper_tail_draws(self):
+        draws = sample_truncated("normal", 0.2, 1.0, None, 9.0, None,
+                                 np.random.default_rng(0), 5)
+        assert draws.shape == (5,) and np.all(draws >= 9.0)
+
+    def test_deep_upper_tail_spec(self):
+        d = truncated_normal(0.0, 1.0, lower=9.0)
+        assert math.isfinite(d.log_density(9.5))
+        total, _ = quad(lambda y: math.exp(d.log_density(y)), 9.0, np.inf)
+        assert total == pytest.approx(1.0, abs=1e-6)
+        assert np.all(d.sample(np.random.default_rng(1), 100) >= 9.0)
+        ys = np.array([9.001, 9.05, 9.2, 9.6])
+        np.testing.assert_allclose(d.quantile(d.cdf(ys)), ys, atol=1e-6)
+
+    def test_interval_without_representable_mass_is_refused(self):
+        with pytest.raises(ValueError, match="no probability mass"):
+            truncated_normal(0.0, 1.0, lower=50.0)
+
+    def test_log_density_reuses_the_mass_from_construction(self, monkeypatch):
+        calls = []
+        entry = OUTCOMES["normal"]
+
+        def counting_cdf(y, mu, sigma, df):
+            calls.append(y)
+            return entry.cdf(y, mu, sigma, df)
+
+        monkeypatch.setitem(OUTCOMES, "normal", dataclasses.replace(entry, cdf=counting_cdf))
+        d = truncated_normal(0.0, 2.0, lower=0.0)
+        assert len(calls) == 2
+        calls.clear()
+        for y in np.linspace(-1.0, 5.0, 1000):
+            d.log_density(y)
+        assert calls == []

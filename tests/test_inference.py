@@ -324,6 +324,17 @@ class TestPosteriorDrawsContainer:
         with pytest.raises(ValueError, match=r"draws\.csv, line 3: expected 3 cells"):
             PosteriorDraws.from_csv(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("theta1,chain\n0.1,0\n0.2,1.5\n", "line 3: chain label 1.5 is not an integer"),
+        ("theta1,chain\n0.1,zero\n", "line 2: non-numeric cell"),
+        ("theta1,sigma\n0.1,0.2\n", "line 1: not a draws file"),
+    ])
+    def test_csv_reader_rejects_malformed_input(self, tmp_path, text, message):
+        p = tmp_path / "draws.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=r"draws\.csv, " + message):
+            PosteriorDraws.from_csv(p)
+
 
 class TestPlugInFit:
     def test_noiseless_quadratic_interpolation(self):

@@ -67,6 +67,22 @@ class TestDataset:
             Dataset.from_csv(p)
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n0.1,0.2\n0.3,abc\n", "line 3: non-numeric cell"),
+        ("x,y\n0.1,nan\n", "line 2: non-finite cell"),
+        ("x,y\n0.1,0.2\n-inf,0.4\n", "line 3: non-finite cell"),
+        ("x,x,y\n0.1,0.2,0.3\n", "line 1: column names must be distinct"),
+        ("x,,y\n0.1,0.2,0.3\n", "line 1: column names must be distinct and non-empty"),
+        ("x\n0.1\n", "line 1: dataset header .* has no y column"),
+        ("x_se,y\n0.1,0.2\n", "line 1: dataset header .* has no x column"),
+    ])
+    def test_csv_reader_rejects_malformed_input(self, tmp_path, text, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=r"d\.csv, " + message):
+            Dataset.from_csv(p)
+
+
 class TestSimulateDataset:
     def test_noiseless_at_origin(self):
         d = simulate_dataset(5, theta1=3.25, theta2=0.2, sigma=0.0, seed=0)

@@ -18,6 +18,7 @@ from ppmkit import (
     fit,
     generate_datasets,
     normal,
+    plug_in_predictive,
     pool_ensemble_predictions,
     posterior_predictive,
     propagate_test_error,
@@ -210,6 +211,17 @@ class TestPoolEnsemble:
 
 
 class TestClassifyPredictive:
+    def test_scalar_predictive_paths_name_the_feature_count(self):
+        model = logistic_model()
+        draws = degenerate_logistic_draws([0.0, 1.0, -1.0])
+        for call in (
+            lambda: posterior_predictive(model, draws, 0.5),
+            lambda: plug_in_predictive(model, draws.draws[0], 0.5),
+            lambda: propagate_test_error(model, draws, MeasuredValue(0.5, 0.1)),
+        ):
+            with pytest.raises(ValueError, match="model 'logistic' takes 2 features"):
+                call()
+
     def test_concentrated_draws_coin_analogy(self):
         # probability draws concentrated at 0.75 predict 0.75 for the outcome
         draws = degenerate_logistic_draws([np.log(3.0), 0.0, 0.0])
