@@ -158,18 +158,12 @@ def cmd_simulate(args) -> int:
             raise UsageError("--coef needs three comma-separated values")
         data = simulate_classification(args.n, coef, seed=args.seed)
     else:
-        try:
-            data = simulate_dataset(
-                args.n, args.theta1, args.theta2, args.sigma,
-                seed=args.seed, random_x=args.random_x,
-            )
-        except ValueError as err:
-            raise UsageError(str(err)) from err
+        data = simulate_dataset(
+            args.n, args.theta1, args.theta2, args.sigma,
+            seed=args.seed, random_x=args.random_x,
+        )
     if args.subsample_k is not None:
-        try:
-            data = subsample_every_kth(data, args.subsample_k)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
+        data = subsample_every_kth(data, args.subsample_k)
     _write_atomic(args.out, data.to_csv_text())
     return 0
 
@@ -182,14 +176,16 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     data = Dataset.from_csv(_require_file(args.data, "dataset"))
     model = ModelSpec.load(_require_file(args.model, "model spec"))
+
+    def write_diagnostics(payload):
+        if args.out_diagnostics:
+            _write_atomic(args.out_diagnostics,
+                          _json_text({"run_config": _run_config(args), **payload}))
+
     if args.plug_in:
         theta = plug_in_fit(model, data, seed=args.seed)
         _write_atomic(args.out_draws, csv_text(model.parameter_names, [list(theta)]))
-        if args.out_diagnostics:
-            _write_atomic(
-                args.out_diagnostics,
-                _json_text({"run_config": _run_config(args), "mode": "plug_in"}),
-            )
+        write_diagnostics({"mode": "plug_in"})
         return 0
     config = FitConfig(
         chains=args.chains,
@@ -203,18 +199,14 @@ def cmd_fit(args) -> int:
     try:
         draws = fit(model, data, config)
     except FitError as err:
-        if args.out_diagnostics and err.diagnostics is not None:
-            payload = {"run_config": _run_config(args), "error": str(err)}
-            payload.update(err.diagnostics.to_json())
-            _write_atomic(args.out_diagnostics, _json_text(payload))
+        if err.diagnostics is not None:
+            write_diagnostics({"error": str(err), **err.diagnostics.to_json()})
         print(f"fit failed: {err}", file=sys.stderr)
         return 1
     _write_atomic(args.out_draws, draws.to_csv_text())
     diag = draws.diagnostics
-    if args.out_diagnostics and diag is not None:
-        payload = {"run_config": _run_config(args)}
-        payload.update(diag.to_json())
-        _write_atomic(args.out_diagnostics, _json_text(payload))
+    if diag is not None:
+        write_diagnostics(diag.to_json())
     if diag is not None and diag.max_r_hat() > R_HAT_GATE and not args.allow_unconverged:
         print(
             f"fit did not converge: max r_hat {diag.max_r_hat():.3f} > {R_HAT_GATE}",
@@ -279,13 +271,11 @@ def cmd_predict(args) -> int:
             for qi in range(len(queries))
         ]
 
-    results = []
-    for key, preds in per_model.items():
-        for pred in preds:
-            results.append(_summary_entry(pred, args.level, args.threshold, args.direction))
-    if combined is not None:
-        for pred in combined:
-            results.append(_summary_entry(pred, args.level, args.threshold, args.direction))
+    results = [
+        _summary_entry(pred, args.level, args.threshold, args.direction)
+        for preds in [*per_model.values(), combined or []]
+        for pred in preds
+    ]
     _write_atomic(
         args.out_summary,
         _json_text({"run_config": _run_config(args), "results": results}),
@@ -304,12 +294,8 @@ def cmd_predict(args) -> int:
     if args.out_widths:
         if len(queries) < 2:
             raise UsageError("--out-widths requires a grid of queries")
-        try:
-            table = pi_width_curve(per_model, args.level)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        rows = [(name, x, w) for name, x, w in table.rows()]
-        _write_atomic(args.out_widths, csv_text(["model", "x", "width"], rows))
+        table = pi_width_curve(per_model, args.level)
+        _write_atomic(args.out_widths, csv_text(["model", "x", "width"], table.rows()))
     return 0
 
 
@@ -346,10 +332,6 @@ def cmd_decompose(args) -> int:
 # --------------------------------------------------------------------- #
 
 
-def _predictive_rng(seed, section, index):
-    return np.random.default_rng([seed, section, index])
-
-
 def cmd_report(args) -> int:
     """Run the whole demo pipeline into one directory of plot-ready files."""
     out = Path(args.out_dir)
@@ -363,9 +345,6 @@ def cmd_report(args) -> int:
 
     def emit_json(rel, payload):
         emit(rel, _json_text({"run_config": _run_config(args), **payload}))
-
-    def emit_csv(rel, header, rows):
-        emit(rel, csv_text(header, rows))
 
     # ---- datasets -----------------------------------------------------
     data = demo.running_example(seed=seed)
@@ -405,13 +384,18 @@ def cmd_report(args) -> int:
     else:
         fitted = list(map(fit, models, datasets, configs))
     draws = dict(zip(names, fitted))
+
+    def predictive(model, fit_name, x, per_draw, section, index):
+        return posterior_predictive(model, draws[fit_name], float(x), per_draw=per_draw,
+                                    rng=np.random.default_rng([seed, section, index]))
+
     convergence = {
         name: d.diagnostics.to_json() for name, d in draws.items() if d.diagnostics is not None
     }
     emit_json("convergence.json", {"fits": convergence})
 
     # ---- threshold decision (two-compound demo) -----------------------
-    rng = _predictive_rng(seed, 1, 0)
+    rng = np.random.default_rng([seed, 1, 0])
     records = []
     for name, spec in (("A", demo.COMPOUND_A), ("B", demo.COMPOUND_B)):
         samples = spec.sample(rng, 200_000)
@@ -432,39 +416,34 @@ def cmd_report(args) -> int:
     per_model = {}
     for mi, (name, model) in enumerate([("quadratic", quad), ("exp2", exp2), ("exp3", exp3)]):
         per_model[name] = [
-            posterior_predictive(model, draws[f"{name}_full"], float(x), per_draw=2,
-                                 rng=_predictive_rng(seed, 10 + mi, qi))
-            for qi, x in enumerate(grid)
+            predictive(model, f"{name}_full", x, 2, 10 + mi, qi) for qi, x in enumerate(grid)
         ]
     averaged = [
         average_predictions([per_model[k][qi] for k in per_model])
         for qi in range(len(grid))
     ]
-    rows = []
+    rows, widths = [], []
     for name, preds in list(per_model.items()) + [("average", averaged)]:
         for p in preds:
             iv = interval(p, level)
             rows.append((name, p.x, p.mean(), iv.lower, iv.upper))
-    emit_csv("model_averaging/predictions.csv",
-             ["model", "x", "mean", "pi_lower", "pi_upper"], rows)
-    table = pi_width_curve(per_model, level)
-    emit_csv("model_averaging/width_table.csv", ["model", "x", "width"],
-             [(n, x, w) for n, x, w in table.rows()])
+            widths.append((name, p.x, iv.width))
+    emit("model_averaging/predictions.csv",
+         csv_text(["model", "x", "mean", "pi_lower", "pi_upper"], rows))
+    emit("model_averaging/width_table.csv", csv_text(["model", "x", "width"], widths))
 
     # ---- parameter uncertainty on the subsample -----------------------
     theta_hat = plug_in_fit(quad, sub, seed=seed)
     sub_grid = np.round(np.linspace(float(sub.x.min()), float(sub.x.max()), 25), 10)
     rows = []
     for qi, x in enumerate(sub_grid):
-        bayes = posterior_predictive(quad, draws["quadratic_sub"], float(x), per_draw=10,
-                                     rng=_predictive_rng(seed, 20, qi))
+        bayes = predictive(quad, "quadratic_sub", x, 10, 20, qi)
         biv = interval(bayes, level)
         civ = classical_interval(quad, theta_hat, sub, float(x), level)
         rows.append((float(x), biv.lower, biv.upper, civ.lower, civ.upper))
-    emit_csv("parameter_uncertainty/pi_curves.csv",
-             ["x", "bayes_lower", "bayes_upper", "classic_lower", "classic_upper"], rows)
-    bayes_at = posterior_predictive(quad, draws["quadratic_sub"], 0.5, per_draw=25,
-                                    rng=_predictive_rng(seed, 21, 0))
+    emit("parameter_uncertainty/pi_curves.csv",
+         csv_text(["x", "bayes_lower", "bayes_upper", "classic_lower", "classic_upper"], rows))
+    bayes_at = predictive(quad, "quadratic_sub", 0.5, 25, 21, 0)
     p_bayes = prob_exceeds(bayes_at, 1.2, "above")
     p_classic = classical_exceedance(quad, theta_hat, sub, 0.5, 1.2, "above")
     emit_json(
@@ -480,11 +459,10 @@ def cmd_report(args) -> int:
     )
 
     # ---- measurement error --------------------------------------------
-    base_pred = posterior_predictive(exp3, draws["exp3_full"], 0.15, per_draw=10,
-                                     rng=_predictive_rng(seed, 30, 0))
+    base_pred = predictive(exp3, "exp3_full", 0.15, 10, 30, 0)
     noisy_pred = propagate_test_error(
         exp3, draws["exp3_full"], MeasuredValue(0.15, 0.06), n_x=1000,
-        rng=_predictive_rng(seed, 30, 1),
+        rng=np.random.default_rng([seed, 30, 1]),
     )
     emit_json(
         "measurement_error/test_input_error.json",
@@ -498,13 +476,10 @@ def cmd_report(args) -> int:
     )
     gen_fits = [draws[f"gen_{i}"] for i in range(args.m_datasets)]
     pooled = pool_ensemble_predictions(gen_fits, exp3, 0.15,
-                                       rng=_predictive_rng(seed, 31, 0), per_draw=2)
+                                       rng=np.random.default_rng([seed, 31, 0]), per_draw=2)
     per_fit = [
-        _summary_entry(
-            posterior_predictive(exp3, g, 0.15, per_draw=2, rng=_predictive_rng(seed, 32, i)),
-            level,
-        )
-        for i, g in enumerate(gen_fits)
+        _summary_entry(predictive(exp3, f"gen_{i}", 0.15, 2, 32, i), level)
+        for i in range(args.m_datasets)
     ]
     emit_json(
         "measurement_error/training_error.json",
@@ -519,10 +494,8 @@ def cmd_report(args) -> int:
 
     # ---- truncated prediction ------------------------------------------
     exp2_trunc = dataclasses.replace(exp2, truncation=(0.0, None))
-    untrunc = posterior_predictive(exp2, draws["exp2_full"], 0.05, per_draw=20,
-                                   rng=_predictive_rng(seed, 40, 0))
-    trunc = posterior_predictive(exp2_trunc, draws["exp2_full"], 0.05, per_draw=20,
-                                 rng=_predictive_rng(seed, 40, 1))
+    untrunc = predictive(exp2, "exp2_full", 0.05, 20, 40, 0)
+    trunc = predictive(exp2_trunc, "exp2_full", 0.05, 20, 40, 1)
     emit_json(
         "truncation/truncated_prediction.json",
         {
@@ -536,10 +509,11 @@ def cmd_report(args) -> int:
 
     # ---- link functions --------------------------------------------------
     u = np.linspace(-6.0, 6.0, 121)
-    emit_csv(
+    emit(
         "link_functions.csv",
-        ["u"] + list(ZERO_ONE_LINKS),
-        [(float(ui),) + tuple(float(apply_link(l, ui)) for l in ZERO_ONE_LINKS) for ui in u],
+        csv_text(["u"] + list(ZERO_ONE_LINKS),
+                 [(float(ui),) + tuple(float(apply_link(l, ui)) for l in ZERO_ONE_LINKS)
+                  for ui in u]),
     )
 
     # ---- variance function ----------------------------------------------
@@ -547,19 +521,17 @@ def cmd_report(args) -> int:
     trend_draws = draws["var_trend"].draws
     rows = []
     for qi, x in enumerate(x_grid):
-        const_pred = posterior_predictive(var_const_model, draws["var_const"], float(x),
-                                          per_draw=5, rng=_predictive_rng(seed, 50, qi))
-        trend_pred = posterior_predictive(var_model, draws["var_trend"], float(x), per_draw=5,
-                                          rng=_predictive_rng(seed, 51, qi))
+        const_pred = predictive(var_const_model, "var_const", x, 5, 50, qi)
+        trend_pred = predictive(var_model, "var_trend", x, 5, 51, qi)
         civ = interval(const_pred, level)
         tiv = interval(trend_pred, level)
         # posterior-mean scale at this x under the trend model
         sig = var_model.sigma(trend_draws, var_model.mu(trend_draws, float(x)))
         rows.append((float(x), civ.lower, civ.upper, tiv.lower, tiv.upper, float(np.mean(sig))))
-    emit_csv(
+    emit(
         "variance_function/pi_curves.csv",
-        ["x", "const_lower", "const_upper", "trend_lower", "trend_upper", "trend_sigma_mean"],
-        rows,
+        csv_text(["x", "const_lower", "const_upper", "trend_lower", "trend_upper",
+                  "trend_sigma_mean"], rows),
     )
 
     # ---- classification ---------------------------------------------------
@@ -579,14 +551,14 @@ def cmd_report(args) -> int:
                 out_i.epistemic,
             )
         )
-    emit_csv(
+    emit(
         "classification/mu_sigma.csv",
-        ["x1", "x2", "y", "mu_bar", "sigma_mu", "aleatoric", "epistemic"], rows,
+        csv_text(["x1", "x2", "y", "mu_bar", "sigma_mu", "aleatoric", "epistemic"], rows),
     )
     band = decision_boundary_band(cls_draws, cls_model, np.round(np.linspace(-3.0, 3.0, 25), 10),
                                   level=level)
-    emit_csv("classification/boundary_band.csv", ["x1", "lower", "upper"],
-             list(zip(band.x1, band.lower, band.upper)))
+    emit("classification/boundary_band.csv",
+         csv_text(["x1", "lower", "upper"], zip(band.x1, band.lower, band.upper)))
     # paired compounds: same predicted probability, twice the spread
     p_base, _ = classify_predictive(cls_model, cls_draws, [0.5, 0.5])
     p_pair = p_base.mean() + 2.0 * (p_base - p_base.mean())

@@ -182,16 +182,18 @@ class DistributionSpec:
     def __post_init__(self):
         if BOUNDED.get(self.family, self.family) not in OUTCOMES:
             raise ValueError(f"unknown family {self.family!r}")
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if self.family == "bernoulli":
             if not 0.0 <= self.mu <= 1.0:
                 raise ValueError("bernoulli mu must lie in [0, 1]")
             if self.sigma is not None:
                 raise ValueError("bernoulli takes no scale parameter")
-        elif self.sigma is None or not self.sigma > 0.0:
-            raise ValueError("sigma must be a positive real")
+        elif self.sigma is None or not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be a finite positive real, got {self.sigma}")
         if self.family == "student_t":
-            if self.df is None or not self.df > 0.0:
-                raise ValueError("student_t requires df > 0")
+            if self.df is None or not 0.0 < self.df < np.inf:
+                raise ValueError(f"student_t requires a finite df > 0, got {self.df}")
         elif self.df is not None:
             raise ValueError("df only applies to student_t")
         if self.family in BOUNDED:

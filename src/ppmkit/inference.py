@@ -86,8 +86,8 @@ class ModelSpec:
             if self.variance is None:
                 raise ValueError(f"{self.family} outcomes need a variance function")
         if dist.OUTCOMES[self.family].has_df:
-            if self.df is None or not self.df > 0.0:
-                raise ValueError(f"{self.family} outcomes require df > 0")
+            if self.df is None or not 0.0 < self.df < np.inf:
+                raise ValueError(f"{self.family} outcomes require a finite df > 0, got {self.df}")
         elif self.df is not None:
             raise ValueError("df only applies to student_t outcomes")
         if self.truncation is not None:

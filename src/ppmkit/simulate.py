@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +24,22 @@ TRUE_MODEL = MeanFunctionSpec("true_model")
 def read_csv_rows(path) -> tuple[list[str], np.ndarray]:
     """(header, values) of a numeric CSV file: ``values`` holds one row of finite
     floats per data row.  A malformed file raises ``ValueError("<path>, line N: ...")``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValueError(f"{path}, line {len(rows) + 1}: no data rows")
-    header, body = rows[0], rows[1:]
-    if not header or not all(header) or len(set(header)) != len(header):
-        raise ValueError(f"{path}, line 1: column names must be distinct and non-empty")
     values = []
-    for line, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}, line {line}: expected {len(header)} cells, got {len(row)}")
-        try:
-            values.append(list(map(float, row)))
-        except ValueError:
-            raise ValueError(f"{path}, line {line}: non-numeric cell in {row}") from None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header, first = next(reader, None), next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}, line {1 if header is None else 2}: no data rows")
+        if not header or not all(header) or len(set(header)) != len(header):
+            raise ValueError(f"{path}, line 1: column names must be distinct and non-empty")
+        for line, row in enumerate(itertools.chain([first], reader), start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {line}: expected {len(header)} cells, got {len(row)}")
+            try:
+                values.append(list(map(float, row)))
+            except ValueError:
+                raise ValueError(f"{path}, line {line}: non-numeric cell in {row}") from None
     values = np.array(values)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():

@@ -4,7 +4,9 @@ Commands run in-process through ``main(argv)``; exit codes follow the
 convention 0 = success, 1 = runtime failure, 2 = usage error.
 """
 
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +49,14 @@ class TestSimulate:
     def test_negative_sigma_is_usage_error(self, tmp_path):
         rc = main(["simulate", "--sigma", "-1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [["--n", "0"], ["--subsample-k", "0"],
+                                       ["--n", "5", "--subsample-k", "6"]])
+    def test_invalid_count_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["simulate", *flags, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_classification_output(self, tmp_path):
         out = tmp_path / "cls.csv"
@@ -104,6 +114,46 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.csv, line" in err
         assert "Traceback" not in err
+
+    def test_non_finite_prior_is_usage_error(self, workdir, tmp_path, capsys):
+        spec = json.loads((workdir / "model.json").read_text())
+        spec["priors"][0]["mu"] = float("nan")
+        model_path = tmp_path / "nan_prior.json"
+        model_path.write_text(json.dumps(spec))  # json writes the bare token NaN
+        rc = main(["fit", "--data", str(workdir / "data.csv"), "--model", str(model_path),
+                   "--out-draws", str(tmp_path / "d.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mu" in err
+
+    def test_plug_in_diagnostics_record_the_mode(self, workdir, tmp_path):
+        diag = tmp_path / "diag.json"
+        assert main(["fit", "--data", str(workdir / "data.csv"),
+                     "--model", str(workdir / "model.json"),
+                     "--out-draws", str(tmp_path / "p.csv"), "--out-diagnostics", str(diag),
+                     "--plug-in", "--seed", "0"]) == 0
+        payload = json.loads(diag.read_text())
+        assert set(payload) == {"mode", "run_config"}
+        assert payload["mode"] == "plug_in"
+        assert payload["run_config"]["flags"]["plug_in"] is True
+
+    def test_stuck_fit_writes_error_diagnostics(self, workdir, tmp_path):
+        # an absurd proposal scale rejects every move, so every chain is stuck
+        diag = tmp_path / "diag.json"
+        rc = main(["fit", "--data", str(workdir / "data.csv"),
+                   "--model", str(workdir / "model.json"),
+                   "--out-draws", str(tmp_path / "d.csv"), "--out-diagnostics", str(diag),
+                   "--chains", "2", "--warmup", "1", "--samples", "50",
+                   "--init-scale", "1e12", "--seed", "0"])
+        assert rc == 1
+        assert not (tmp_path / "d.csv").exists()
+        payload = json.loads(diag.read_text())
+        assert "zero acceptance" in payload["error"]
+        assert payload["acceptance"] == [0.0, 0.0]
+        assert payload["run_config"]["command"] == "fit"
+        for key in ("r_hat", "ess"):
+            assert set(payload[key]) == {"theta1", "theta2", "sigma"}
+            assert all(math.isnan(v) for v in payload[key].values())
 
     def test_plug_in_writes_single_row(self, workdir, tmp_path):
         out = tmp_path / "params.csv"
@@ -294,3 +344,15 @@ class TestReport:
         for rel in manifest["artifacts"]:
             assert (out / rel).is_file()
         assert manifest["run_config"]["seed"] == 9
+
+    def test_width_table_matches_prediction_intervals(self, tmp_path):
+        out = tmp_path / "rep"
+        assert main(["report", "--out-dir", str(out), "--fast", "--seed", "3",
+                     "--m-datasets", "1"]) == 0
+        with open(out / "model_averaging" / "predictions.csv", newline="") as fh:
+            predicted = [((r["model"], r["x"]), float(r["pi_upper"]) - float(r["pi_lower"]))
+                         for r in csv.DictReader(fh)]
+        with open(out / "model_averaging" / "width_table.csv", newline="") as fh:
+            widths = [((r["model"], r["x"]), float(r["width"])) for r in csv.DictReader(fh)]
+        assert len(widths) == 4 * 31
+        assert widths == predicted

@@ -62,6 +62,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DistributionSpec("poisson", 1.0)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: normal(math.nan, 1.0), "mu"),
+        (lambda: normal(math.inf, 1.0), "mu"),
+        (lambda: normal(0.0, math.inf), "sigma"),
+        (lambda: student_t(0.0, 1.0, df=math.inf), "df"),
+        (lambda: truncated_normal(-math.inf, 1.0, lower=0.0), "mu"),
+        (lambda: bernoulli(math.nan), "mu"),
+    ], ids=["normal-nan-mu", "normal-inf-mu", "normal-inf-sigma", "student-t-inf-df",
+            "truncated-normal-minus-inf-mu", "bernoulli-nan-mu"])
+    def test_non_finite_parameter_is_refused_by_name(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
 
 class TestLogDensity:
     def test_standard_normal_at_zero(self):

@@ -7,9 +7,14 @@ domination of the sampled posterior.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ppmkit import (
     Dataset,
@@ -33,6 +38,7 @@ from ppmkit import (
 from ppmkit.inference import compute_diagnostics
 
 HALF_LOG_2PI = 0.9189385332046727
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def constant_mean_model(sigma_prior=None):
@@ -89,6 +95,15 @@ class TestModelSpec:
             ModelSpec(
                 mean=MeanFunctionSpec("true_model"),
                 family="student_t",
+                variance=VarianceFunctionSpec("constant"),
+            )
+
+    def test_student_t_df_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite df"):
+            ModelSpec(
+                mean=MeanFunctionSpec("true_model"),
+                family="student_t",
+                df=math.inf,
                 variance=VarianceFunctionSpec("constant"),
             )
 
@@ -309,6 +324,25 @@ class TestPosteriorDrawsContainer:
         draws.to_csv(p)
         back = PosteriorDraws.from_csv(p)
         np.testing.assert_array_equal(back.draws, draws.draws)
+        np.testing.assert_array_equal(back.chain, draws.chain)
+        assert back.parameter_names == draws.parameter_names
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 3).flatmap(lambda k: st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 12), st.just(k)), elements=FINITE),
+            st.lists(st.integers(-5, 5), min_size=12, max_size=12),
+        ))
+    )
+    def test_csv_round_trip_is_bit_exact(self, case):
+        values, labels = case
+        draws = PosteriorDraws(draws=values, chain=labels[:len(values)],
+                               parameter_names=("a", "b", "c")[:values.shape[1]])
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "draws.csv"
+            p.write_text(draws.to_csv_text())
+            back = PosteriorDraws.from_csv(p)
+        assert back.draws.tobytes() == draws.draws.tobytes()
         np.testing.assert_array_equal(back.chain, draws.chain)
         assert back.parameter_names == draws.parameter_names
 

@@ -1,7 +1,13 @@
 """Data generator and Dataset container tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ppmkit import (
     Dataset,
@@ -10,6 +16,20 @@ from ppmkit import (
     subsample_every_kth,
     true_mean,
 )
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+def csv_round_trip(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        p.write_text(data.to_csv_text())
+        return Dataset.from_csv(p)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDataset:
@@ -53,6 +73,26 @@ class TestDataset:
         np.testing.assert_array_equal(back.x, d.x)
         np.testing.assert_array_equal(back.y, d.y)
         assert back.n_features == 2
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        *(arrays(np.float64, n, elements=FINITE) for _ in range(2)),
+        *(arrays(np.float64, n, elements=NONNEGATIVE) for _ in range(2)),
+    )))
+    def test_csv_round_trip_with_errors_is_bit_exact(self, cols):
+        d = Dataset(*cols)
+        back = csv_round_trip(d)
+        for name in ("x", "y", "x_se", "y_se"):
+            assert same_bits(getattr(back, name), getattr(d, name)), name
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (n, 2), elements=FINITE), arrays(np.float64, n, elements=FINITE),
+    )))
+    def test_csv_round_trip_two_features_is_bit_exact(self, cols):
+        d = Dataset(*cols)
+        back = csv_round_trip(d)
+        assert same_bits(back.x, d.x) and same_bits(back.y, d.y)
 
     def test_csv_reader_rejects_an_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
