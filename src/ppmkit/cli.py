@@ -34,7 +34,6 @@ from .prediction import (
     classical_exceedance,
     classical_interval,
     interval,
-    pi_width_curve,
     posterior_predictive,
     prob_exceeds,
 )
@@ -187,15 +186,7 @@ def cmd_fit(args) -> int:
         _write_atomic(args.out_draws, csv_text(model.parameter_names, [list(theta)]))
         write_diagnostics({"mode": "plug_in"})
         return 0
-    config = FitConfig(
-        chains=args.chains,
-        warmup=args.warmup,
-        samples=args.samples,
-        init_scale=args.init_scale,
-        target_accept=args.target_accept,
-        seed=args.seed,
-        thin=args.thin,
-    )
+    config = FitConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FitConfig)})
     try:
         draws = fit(model, data, config)
     except FitError as err:
@@ -264,12 +255,11 @@ def cmd_predict(args) -> int:
             preds.append(pred)
         per_model[key] = preds
 
-    combined = None
-    if len(per_model) > 1 and args.combine in ("average", "pool"):
-        combined = [
-            average_predictions([per_model[k][qi] for k in per_model])
-            for qi in range(len(queries))
-        ]
+    def averaged():
+        return [average_predictions([preds[qi] for preds in per_model.values()])
+                for qi in range(len(queries))]
+
+    combined = averaged() if len(per_model) > 1 and args.combine in ("average", "pool") else None
 
     results = [
         _summary_entry(pred, args.level, args.threshold, args.direction)
@@ -294,8 +284,12 @@ def cmd_predict(args) -> int:
     if args.out_widths:
         if len(queries) < 2:
             raise UsageError("--out-widths requires a grid of queries")
-        table = pi_width_curve(per_model, args.level)
-        _write_atomic(args.out_widths, csv_text(["model", "x", "width"], table.rows()))
+        # each model's intervals, and the average's when combined, are in results already
+        names = [name for name in per_model for _ in queries] + ["average"] * len(queries)
+        rows = [(n, e["x"], e["pi_upper"] - e["pi_lower"]) for n, e in zip(names, results)]
+        if combined is None:
+            rows += [("average", p.x, interval(p, args.level).width) for p in averaged()]
+        _write_atomic(args.out_widths, csv_text(["model", "x", "width"], rows))
     return 0
 
 
@@ -610,13 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out-draws", required=True)
     p.add_argument("--out-diagnostics", default=None)
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--init-scale", type=float, default=0.5)
-    p.add_argument("--target-accept", type=float, default=0.30)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(FitConfig):  # --chains ... --thin, typed by their defaults
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--plug-in", action="store_true")
     p.add_argument("--allow-unconverged", action="store_true")
     p.set_defaults(func=cmd_fit)

@@ -16,6 +16,7 @@ installed on a kernel name sees every call.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -104,6 +105,11 @@ OUTCOMES = {
 BOUNDED = {"truncated_normal": "normal"}
 
 
+def is_real(value) -> bool:
+    """True for a real number (numpy scalars included), False for a bool or anything else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def sample_values(family, mu, sigma, df, rng, size):
     """Draw ``size`` values from an untruncated family; mu/sigma broadcast."""
     if family not in OUTCOMES:
@@ -182,6 +188,10 @@ class DistributionSpec:
     def __post_init__(self):
         if BOUNDED.get(self.family, self.family) not in OUTCOMES:
             raise ValueError(f"unknown family {self.family!r}")
+        for key in _JSON_KEYS[1:]:
+            value = getattr(self, key)
+            if not (is_real(value) or value is None and key != "mu"):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
         if not np.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if self.family == "bernoulli":

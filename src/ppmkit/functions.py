@@ -13,6 +13,7 @@ onto (0, inf).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,9 @@ class MeanFunctionSpec:
     def __post_init__(self):
         if self.form not in MEAN_FORMS:
             raise ValueError(f"unknown mean form {self.form!r}")
-        if self.n_features < 1:
-            raise ValueError("n_features must be >= 1")
+        n = self.n_features
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_features must be an integer >= 1, got {n!r}")
         if self.n_features > 1 and self.form != "linear":
             raise ValueError(f"{self.form!r} only supports a single feature")
 

@@ -6,7 +6,9 @@ target acceptance rate and then frozen, so retained draws come from a
 fixed kernel.  Chains are initialized from the priors and chain ``c`` is
 seeded with ``master_seed + c``, which makes every fit reproducible and
 lets chains run independently (in any order, or in parallel) with results
-identical to sequential execution.
+identical to sequential execution.  ``fit`` diagnoses the (chains, samples,
+params) stack of its chains once; draws read from CSV carry no diagnostics,
+and :func:`diagnostics` computes them on request.
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ class ModelSpec:
             raise ValueError(f"unsupported outcome family {self.family!r}")
         if self.mean_link not in LINKS:
             raise ValueError(f"unknown link {self.mean_link!r}")
+        for value in (self.df, *(self.truncation or ())):
+            if not (value is None or dist.is_real(value)):
+                raise ValueError(f"df and truncation bounds must be real numbers, got {value!r}")
         if self.family == "bernoulli":
             if self.mean_link not in ZERO_ONE_LINKS:
                 raise ValueError("bernoulli outcomes need a 0-1 mean link")
@@ -152,34 +157,31 @@ class ModelSpec:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ModelSpec":
-        mean_obj = obj["mean"]
-        mean = MeanFunctionSpec(mean_obj["form"], mean_obj.get("n_features", 1))
-        var_obj = obj.get("variance")
-        variance = (
-            None
-            if var_obj is None
-            else VarianceFunctionSpec(var_obj["form"], var_obj.get("link", ""))
-        )
-        priors = obj.get("priors")
-        trunc_obj = obj.get("truncation")
-        truncation = (
-            None
-            if trunc_obj is None
-            else (trunc_obj.get("lower"), trunc_obj.get("upper"))
-        )
-        return cls(
-            mean=mean,
-            family=obj["distribution"]["family"],
-            mean_link=mean_obj.get("link", "identity"),
-            variance=variance,
-            priors=None
-            if priors is None
-            else tuple(DistributionSpec.from_json(p) for p in priors),
-            df=obj["distribution"].get("df"),
-            truncation=truncation,
-            name=obj.get("name", ""),
-        )
+    def from_json(cls, obj) -> "ModelSpec":
+        """The spec a JSON object describes; a missing key or a section that is not
+        an object raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a model spec must be a JSON object, not {type(obj).__name__}")
+        try:
+            mean_obj, var_obj, priors = obj["mean"], obj.get("variance"), obj.get("priors")
+            trunc_obj = obj.get("truncation")
+            return cls(
+                mean=MeanFunctionSpec(mean_obj["form"], mean_obj.get("n_features", 1)),
+                family=obj["distribution"]["family"],
+                mean_link=mean_obj.get("link", "identity"),
+                variance=None if var_obj is None
+                else VarianceFunctionSpec(var_obj["form"], var_obj.get("link", "")),
+                priors=None if priors is None
+                else tuple(DistributionSpec.from_json(p) for p in priors),
+                df=obj["distribution"].get("df"),
+                truncation=None if trunc_obj is None
+                else (trunc_obj.get("lower"), trunc_obj.get("upper")),
+                name=obj.get("name", ""),
+            )
+        except KeyError as err:
+            raise ValueError(f"model spec has no {err} key") from None
+        except (AttributeError, TypeError) as err:
+            raise ValueError(f"malformed model spec: {err}") from None
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -285,11 +287,7 @@ class PosteriorDraws:
 
     def by_chain(self) -> np.ndarray:
         """Draws reshaped to (chains, samples, params); chains must be equal length."""
-        labels = np.unique(self.chain)
-        per = [self.draws[self.chain == c] for c in labels]
-        if len({p.shape[0] for p in per}) != 1:
-            raise ValueError("chains have unequal lengths")
-        return np.stack(per)
+        return _stack_chains(self.draws, self.chain)
 
     def column(self, name: str) -> np.ndarray:
         return self.draws[:, self.parameter_names.index(name)]
@@ -309,19 +307,12 @@ class PosteriorDraws:
         header, values = read_csv_rows(path)
         if header[-1] != "chain":
             raise ValueError(f"{path}, line 1: not a draws file (no final chain column)")
-        names = tuple(header[:-1])
         draws, chain = values[:, :-1], values[:, -1]
         bad = chain != np.round(chain)
         if bad.any():
             i = np.argmax(bad)
             raise ValueError(f"{path}, line {i + 2}: chain label {chain[i]:g} is not an integer")
-        chain = chain.astype(int)
-        diag = None
-        try:
-            diag = compute_diagnostics(draws, chain, names)
-        except DiagnosticsError:
-            pass
-        return cls(draws=draws, chain=chain, parameter_names=names, diagnostics=diag)
+        return cls(draws=draws, chain=chain.astype(int), parameter_names=header[:-1])
 
 
 # --------------------------------------------------------------------- #
@@ -423,8 +414,7 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
         chains.append(draws_c)
         acceptances.append(acc_c)
 
-    draws = np.concatenate(chains)
-    chain = np.repeat(np.arange(config.chains), config.samples)
+    stacked = np.stack(chains)  # (chains, samples, params)
     names = model.parameter_names
     if all(a == 0.0 for a in acceptances):
         nan = float("nan")
@@ -437,10 +427,12 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
         raise FitError("all chains stuck: zero acceptance after warmup", diagnostics=diag)
     diag = None
     try:
-        diag = compute_diagnostics(draws, chain, names, acceptance=tuple(acceptances))
+        diag = compute_diagnostics(stacked, None, names, acceptance=tuple(acceptances))
     except DiagnosticsError:
         pass
-    return PosteriorDraws(draws=draws, chain=chain, parameter_names=names, diagnostics=diag)
+    chain = np.repeat(np.arange(config.chains), config.samples)
+    return PosteriorDraws(draws=stacked.reshape(-1, len(names)), chain=chain,
+                          parameter_names=names, diagnostics=diag)
 
 
 def fit_ensemble(
@@ -514,13 +506,11 @@ def diagnostics(draws: PosteriorDraws) -> Diagnostics:
 
 
 def compute_diagnostics(draws, chain, names, acceptance=()):
-    labels = np.unique(chain)
-    if len(labels) < 2:
+    """Diagnostics of (rows, params) ``draws`` with one ``chain`` label per row, or,
+    with ``chain=None``, of ``draws`` already stacked as (chains, samples, params)."""
+    stacked = np.asarray(draws) if chain is None else _stack_chains(draws, chain)
+    if stacked.shape[0] < 2:
         raise DiagnosticsError("need at least 2 chains")
-    per = [np.asarray(draws)[chain == c] for c in labels]
-    if len({p.shape[0] for p in per}) != 1:
-        raise DiagnosticsError("chains have unequal lengths")
-    stacked = np.stack(per)  # (chains, samples, params)
     r_hat, ess, flagged = {}, {}, []
     for j, name in enumerate(names):
         col = stacked[:, :, j]
@@ -535,6 +525,14 @@ def compute_diagnostics(draws, chain, names, acceptance=()):
     return Diagnostics(
         r_hat=r_hat, ess=ess, acceptance=tuple(acceptance), flagged=tuple(flagged)
     )
+
+
+def _stack_chains(draws, chain):
+    """Rows grouped by chain label, in label order, as (chains, samples, params)."""
+    labels, counts = np.unique(chain, return_counts=True)
+    if len(set(counts)) != 1:
+        raise DiagnosticsError("chains have unequal lengths")
+    return np.stack([np.asarray(draws)[chain == c] for c in labels])
 
 
 def _split_chains(col):

@@ -126,6 +126,26 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "mu" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda spec: spec["priors"][0].update(mu=None),
+        lambda spec: spec["priors"][0].update(sigma="2"),
+        lambda spec: spec["mean"].update(n_features="1"),
+        lambda spec: spec.pop("mean"),
+        lambda spec: [spec],
+        lambda spec: spec.update(truncation={"lower": "0"}),
+    ], ids=["null-mu", "string-sigma", "string-n-features", "no-mean", "list", "string-bound"])
+    def test_malformed_model_file_is_usage_error(self, workdir, tmp_path, capsys, edit):
+        spec = json.loads((workdir / "model.json").read_text())
+        edited = edit(spec)
+        model_path = tmp_path / "bad_model.json"
+        model_path.write_text(json.dumps(edited if isinstance(edited, list) else spec))
+        rc = main(["fit", "--data", str(workdir / "data.csv"), "--model", str(model_path),
+                   "--out-draws", str(tmp_path / "d.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_plug_in_diagnostics_record_the_mode(self, workdir, tmp_path):
         diag = tmp_path / "diag.json"
         assert main(["fit", "--data", str(workdir / "data.csv"),

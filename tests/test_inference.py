@@ -6,6 +6,7 @@ warmup exclusion, diagnostics behavior on engineered chains, and MAP
 domination of the sampled posterior.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -326,6 +327,28 @@ class TestPosteriorDrawsContainer:
         np.testing.assert_array_equal(back.draws, draws.draws)
         np.testing.assert_array_equal(back.chain, draws.chain)
         assert back.parameter_names == draws.parameter_names
+
+    def test_loaded_draws_carry_no_diagnostics(self, tmp_path):
+        data = simulate_dataset(20, seed=1)
+        draws = fit(true_model_spec(), data, FitConfig(chains=2, warmup=50, samples=50, seed=0))
+        draws.to_csv(tmp_path / "draws.csv")
+        assert PosteriorDraws.from_csv(tmp_path / "draws.csv").diagnostics is None
+
+    def test_diagnosing_loaded_draws_reproduces_the_fit_exactly(self, tmp_path):
+        # fit diagnoses its own chain stack; a reload diagnoses by chain label
+        data = simulate_dataset(30, seed=3)
+        draws = fit(true_model_spec(), data, FitConfig(chains=3, warmup=100, samples=80, seed=2))
+        assert draws.diagnostics is not None
+        draws.to_csv(tmp_path / "draws.csv")
+        again = diagnostics(PosteriorDraws.from_csv(tmp_path / "draws.csv"))
+        assert again.acceptance == ()  # acceptance rates are not in the draws file
+        assert dataclasses.replace(again, acceptance=draws.diagnostics.acceptance) == \
+            draws.diagnostics
+
+    def test_by_chain_refuses_unequal_chains(self):
+        d = PosteriorDraws(draws=np.zeros((5, 1)), chain=[0, 0, 0, 1, 1], parameter_names=("a",))
+        with pytest.raises(ValueError, match="unequal lengths"):
+            d.by_chain()
 
     @settings(deadline=None, max_examples=100)
     @given(
