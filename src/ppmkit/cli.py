@@ -196,9 +196,8 @@ def cmd_fit(args) -> int:
         return 1
     _write_atomic(args.out_draws, draws.to_csv_text())
     diag = draws.diagnostics
-    if diag is not None:
-        write_diagnostics(diag.to_json())
-    if diag is not None and diag.max_r_hat() > R_HAT_GATE and not args.allow_unconverged:
+    write_diagnostics(diag.to_json())
+    if diag.max_r_hat() > R_HAT_GATE and not args.allow_unconverged:
         print(
             f"fit did not converge: max r_hat {diag.max_r_hat():.3f} > {R_HAT_GATE}",
             file=sys.stderr,
@@ -383,9 +382,7 @@ def cmd_report(args) -> int:
         return posterior_predictive(model, draws[fit_name], float(x), per_draw=per_draw,
                                     rng=np.random.default_rng([seed, section, index]))
 
-    convergence = {
-        name: d.diagnostics.to_json() for name, d in draws.items() if d.diagnostics is not None
-    }
+    convergence = {name: d.diagnostics.to_json() for name, d in draws.items()}
     emit_json("convergence.json", {"fits": convergence})
 
     # ---- threshold decision (two-compound demo) -----------------------

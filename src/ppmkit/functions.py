@@ -109,9 +109,9 @@ class MeanFunctionSpec:
 def mean_values(spec: MeanFunctionSpec, theta, x):
     """Evaluate the mean form without domain checks; broadcasts freely.
 
-    ``theta`` is a vector (k,) or draw matrix (m, k); ``x`` is a scalar or
-    an array that broadcasts against the leading theta axes.  Division by
-    zero propagates as inf/nan for the caller to handle.
+    ``theta`` is a vector (k,) or a stack of them, (m, k) or (m, 1, k);
+    ``x`` is a scalar or an array that broadcasts against the leading theta
+    axes.  Division by zero propagates as inf/nan for the caller to handle.
     """
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -119,9 +119,12 @@ def mean_values(spec: MeanFunctionSpec, theta, x):
     if form == "linear":
         if spec.n_features == 1:
             return theta[..., 0] + theta[..., 1] * x
-        # inner product over the feature axis covers both a (n, d) data
-        # matrix with one theta and a (m, k) draw matrix with one query
-        return theta[..., 0] + np.inner(theta[..., 1:], x)
+        if x.ndim == 1:  # one query (d,) against a vector or a draw matrix
+            return theta[..., 0] + np.inner(theta[..., 1:], x)
+        # data rows (n, d) against a vector (k,) or a stack (m, 1, k): one
+        # matrix-vector product per theta keeps each theta's lone-call bits
+        t = np.swapaxes(np.atleast_2d(theta[..., 1:]), -1, -2)
+        return theta[..., 0] + (x @ t)[..., 0]
     if form == "quadratic":
         return theta[..., 0] + theta[..., 1] * x + theta[..., 2] * x * x
     if form == "exp2":

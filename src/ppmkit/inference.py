@@ -3,10 +3,10 @@
 The sampler is adaptive random-walk Metropolis with componentwise Gaussian
 proposals: during warmup each component's proposal scale is tuned toward a
 target acceptance rate and then frozen, so retained draws come from a
-fixed kernel.  Chains are initialized from the priors and chain ``c`` is
-seeded with ``master_seed + c``, which makes every fit reproducible and
-lets chains run independently (in any order, or in parallel) with results
-identical to sequential execution.  ``fit`` diagnoses the (chains, samples,
+fixed kernel.  Chains start from prior draws and step in lockstep, one
+:func:`log_posterior` call scoring every chain's proposal for a component;
+chain ``c`` draws only from ``Generator(master_seed + c)``, so its draws do
+not depend on the other chains.  ``fit`` diagnoses the (chains, samples,
 params) stack of its chains once; draws read from CSV carry no diagnostics,
 and :func:`diagnostics` computes them on request.
 """
@@ -208,7 +208,8 @@ def default_priors(model: ModelSpec) -> tuple[DistributionSpec, ...]:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Sampler settings; ``samples`` counts retained draws per chain.
+    """Sampler settings; ``samples`` counts retained draws per chain, at
+    least 4, the fewest split R-hat can diagnose.
 
     ``thin`` runs that many sweeps per retained draw, which buys effective
     sample size on strongly correlated posteriors without changing the
@@ -226,8 +227,8 @@ class FitConfig:
     def __post_init__(self):
         if self.chains < 2:
             raise ValueError("need at least 2 chains for diagnostics")
-        if self.warmup < 1 or self.samples < 1:
-            raise ValueError("warmup and samples must be >= 1")
+        if self.warmup < 1 or self.samples < 4:
+            raise ValueError("need warmup >= 1 and samples >= 4 (4 draws per chain for R-hat)")
         if not self.init_scale > 0.0:
             raise ValueError("init_scale must be > 0")
         if not 0.0 < self.target_accept < 1.0:
@@ -320,28 +321,31 @@ class PosteriorDraws:
 # --------------------------------------------------------------------- #
 
 
-def log_posterior(model: ModelSpec, data: Dataset, theta) -> float:
-    """Log likelihood plus log prior; -inf anywhere out of support."""
+def log_posterior(model: ModelSpec, data: Dataset, theta):
+    """Log likelihood plus log prior; -inf anywhere out of support.
+
+    ``theta`` is one parameter vector (k,), giving a float, or a draw matrix
+    (m, k), giving an (m,) array whose rows equal the vector calls exactly.
+    """
     if data.n == 0:
         raise ValueError("dataset is empty")
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.n_params,):
-        raise ValueError(f"theta must have length {model.n_params}")
+    if theta.ndim not in (1, 2) or theta.shape[-1] != model.n_params:
+        raise ValueError(f"theta must be a vector or a draw matrix of {model.n_params} columns")
+    rows = theta.reshape(-1, model.n_params)
     with np.errstate(all="ignore"):
-        mu = model.mu(theta, data.x)
-        sigma = model.sigma(theta, mu)
-        if sigma is not None and (np.any(~np.isfinite(sigma)) or np.any(sigma <= 0.0)):
-            return _NEG_INF
-        loglik = np.sum(dist.OUTCOMES[model.family].logpdf(data.y, mu, sigma, model.df))
-    if not np.isfinite(loglik):
-        return _NEG_INF
-    logprior = 0.0
-    for value, prior in zip(theta, model.priors):
-        lp = prior.log_density(value)
-        if not np.isfinite(lp):
-            return _NEG_INF
-        logprior += lp
-    return float(loglik + logprior)
+        # (m, n) terms summed over the contiguous data axis, as a lone row would be
+        mu = model.mu(rows[:, None, :], data.x)
+        sigma = model.sigma(rows[:, None, :], mu)
+        out = np.sum(dist.OUTCOMES[model.family].logpdf(data.y, mu, sigma, model.df), axis=-1)
+        logprior = 0.0
+        for prior, column in zip(model.priors, rows.T):
+            logprior = logprior + prior.log_density(column)
+        out = out + logprior
+    # a scale <= 0 (or inf, nan) makes its row's likelihood non-finite, so one
+    # mask covers the scale, the likelihood and the priors
+    out[~np.isfinite(out)] = _NEG_INF
+    return float(out[0]) if theta.ndim == 1 else out
 
 
 # --------------------------------------------------------------------- #
@@ -349,89 +353,78 @@ def log_posterior(model: ModelSpec, data: Dataset, theta) -> float:
 # --------------------------------------------------------------------- #
 
 
-def _init_from_priors(model: ModelSpec, logpost, rng, max_tries: int = 100):
-    for _ in range(max_tries):
-        theta = np.array([p.sample(rng, 1)[0] for p in model.priors])
-        lp = logpost(theta)
-        if np.isfinite(lp):
+def _init_from_priors(model: ModelSpec, data: Dataset, rngs):
+    """One prior draw per generator with a finite log posterior, as a (len(rngs), k)
+    matrix and its log posteriors; a row is redrawn only while it is out of support."""
+    theta = np.empty((len(rngs), model.n_params))
+    lp = np.full(len(rngs), _NEG_INF)
+    for _ in range(100):
+        redraw = np.flatnonzero(~np.isfinite(lp))
+        for c in redraw:
+            theta[c] = [p.sample(rngs[c], 1)[0] for p in model.priors]
+        lp[redraw] = log_posterior(model, data, theta[redraw])
+        if np.isfinite(lp).all():
             return theta, lp
     raise FitError("could not find a prior draw with finite log posterior")
-
-
-def _run_chain(model: ModelSpec, logpost, config: FitConfig, seed: int):
-    rng = np.random.default_rng(seed)
-    k = model.n_params
-    theta, lp = _init_from_priors(model, logpost, rng)
-    log_scale = np.full(k, math.log(config.init_scale))
-
-    def sweep(adapt_step=None):
-        nonlocal theta, lp
-        accepted = 0
-        for j in range(k):
-            proposal = theta.copy()
-            proposal[j] += math.exp(log_scale[j]) * rng.standard_normal()
-            lp_new = logpost(proposal)
-            log_ratio = lp_new - lp
-            alpha = 1.0 if log_ratio >= 0.0 else math.exp(max(log_ratio, -745.0))
-            if rng.random() < alpha:
-                theta, lp = proposal, lp_new
-                accepted += 1
-            if adapt_step is not None:
-                log_scale[j] += adapt_step * (alpha - config.target_accept)
-        return accepted
-
-    for t in range(config.warmup):
-        sweep(adapt_step=(t + 1) ** -0.6)
-
-    draws = np.empty((config.samples, k))
-    accepted = 0
-    for s in range(config.samples):
-        for _ in range(config.thin):
-            accepted += sweep()
-        draws[s] = theta
-    return draws, accepted / (config.samples * config.thin * k)
 
 
 def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> PosteriorDraws:
     """Sample the posterior over all model parameters.
 
-    Raises :class:`FitError` (with diagnostics attached) if every chain is
-    stuck after warmup.
+    One :func:`log_posterior` call scores every chain's proposal for a
+    component; each chain draws, accepts and adapts on its own.  Raises
+    :class:`FitError` if every chain is stuck after warmup (with diagnostics
+    attached) or if the draws cannot be diagnosed.
     """
     if config is None:
         config = FitConfig()
     if data.n == 0:
         raise ValueError("dataset is empty")
+    if data.n_features != model.mean.n_features:
+        raise ValueError(f"model {model.name!r} takes {model.mean.n_features} feature(s), "
+                         f"the dataset has {data.n_features}")
     if model.family == "bernoulli" and not np.all(np.isin(data.y, (0.0, 1.0))):
         raise ValueError("bernoulli outcomes must be 0/1")
 
-    def logpost(theta):
-        return log_posterior(model, data, theta)
+    rngs = [np.random.default_rng(config.seed + c) for c in range(config.chains)]
+    theta, lp = _init_from_priors(model, data, rngs)
+    lp = lp.tolist()
+    k = model.n_params
+    log_scale = [[math.log(config.init_scale)] * k for _ in rngs]
+    accepted = [0] * config.chains
+    stacked = np.empty((config.chains, config.samples, k))  # (chains, samples, params)
+    for t in range(config.warmup + config.samples * config.thin):
+        adapt_step = (t + 1) ** -0.6 if t < config.warmup else None
+        for j in range(k):
+            proposal = theta.copy()
+            proposal[:, j] += [math.exp(scale[j]) * rng.standard_normal()
+                               for scale, rng in zip(log_scale, rngs)]
+            lp_new = log_posterior(model, data, proposal).tolist()
+            for c, rng in enumerate(rngs):
+                # math.exp, not np.exp, whose SIMD path may move the adaptation by an ulp
+                log_ratio = lp_new[c] - lp[c]
+                alpha = 1.0 if log_ratio >= 0.0 else math.exp(max(log_ratio, -745.0))
+                if rng.random() < alpha:
+                    theta[c], lp[c] = proposal[c], lp_new[c]
+                    accepted[c] += adapt_step is None  # counted after warmup only
+                if adapt_step is not None:
+                    log_scale[c][j] += adapt_step * (alpha - config.target_accept)
+        s, r = divmod(t + 1 - config.warmup, config.thin)
+        if s > 0 and r == 0:
+            stacked[:, s - 1] = theta
 
-    chains, acceptances = [], []
-    for c in range(config.chains):
-        draws_c, acc_c = _run_chain(model, logpost, config, config.seed + c)
-        chains.append(draws_c)
-        acceptances.append(acc_c)
-
-    stacked = np.stack(chains)  # (chains, samples, params)
     names = model.parameter_names
-    if all(a == 0.0 for a in acceptances):
-        nan = float("nan")
-        diag = Diagnostics(
-            r_hat={n: nan for n in names},
-            ess={n: nan for n in names},
-            acceptance=tuple(acceptances),
-            flagged=names,
-        )
+    acceptance = tuple(a / (config.samples * config.thin * k) for a in accepted)
+    if not any(acceptance):
+        nan = dict.fromkeys(names, float("nan"))
+        diag = Diagnostics(r_hat=nan, ess=nan, acceptance=acceptance, flagged=names)
         raise FitError("all chains stuck: zero acceptance after warmup", diagnostics=diag)
-    diag = None
     try:
-        diag = compute_diagnostics(stacked, None, names, acceptance=tuple(acceptances))
-    except DiagnosticsError:
-        pass
+        diag = compute_diagnostics(stacked, None, names, acceptance=acceptance)
+    except DiagnosticsError as err:
+        raise FitError(f"cannot diagnose the fit: {err}") from None
     chain = np.repeat(np.arange(config.chains), config.samples)
-    return PosteriorDraws(draws=stacked.reshape(-1, len(names)), chain=chain,
+    return PosteriorDraws(draws=stacked.reshape(-1, k), chain=chain,
                           parameter_names=names, diagnostics=diag)
 
 
@@ -457,14 +450,15 @@ def fit_ensemble(
 # --------------------------------------------------------------------- #
 
 
-def plug_in_fit(
-    model: ModelSpec, data: Dataset, seed: int = 0, restarts: int = 12
-) -> np.ndarray:
+_PLUG_IN_RESTARTS = 12
+
+
+def plug_in_fit(model: ModelSpec, data: Dataset, seed: int = 0) -> np.ndarray:
     """Maximum a-posteriori point estimate by multi-start Nelder-Mead.
 
-    Starts are drawn from the priors; the best optimum is polished with
-    repeated restarts so the simplex can re-expand.  Deterministic for a
-    given seed.
+    ``_PLUG_IN_RESTARTS`` starts are drawn from the priors; the best optimum
+    is polished with repeated restarts so the simplex can re-expand.
+    Deterministic for a given seed.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -475,8 +469,8 @@ def plug_in_fit(
         return -lp if np.isfinite(lp) else 1e100
 
     best_theta, best_val = None, np.inf
-    for _ in range(restarts):
-        start, _ = _init_from_priors(model, lambda th: log_posterior(model, data, th), rng)
+    for _ in range(_PLUG_IN_RESTARTS):
+        start = _init_from_priors(model, data, [rng])[0][0]
         res = optimize.minimize(
             objective, start, method="Nelder-Mead",
             options={"maxiter": 400 * model.n_params, "xatol": 1e-9, "fatol": 1e-10},

@@ -67,9 +67,10 @@ def _readonly(a):
 class Dataset:
     """Rectangular (x, y) rows with optional per-row standard errors.
 
-    ``x`` is (n,) for single-feature problems or (n, d) for feature
-    vectors; ``x_se``/``y_se``, when present, match the shapes of ``x``
-    and ``y`` and must be nonnegative (zero means exactly known).
+    ``x`` is (n,) for single-feature problems, also when given as one
+    column (n, 1), or (n, d) for feature vectors; ``x_se``/``y_se``, when
+    present, match the shapes of ``x`` and ``y`` and must be nonnegative
+    (zero means exactly known).
     """
 
     x: np.ndarray
@@ -80,6 +81,8 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _readonly(self.x))
+        if self.x.ndim == 2 and self.x.shape[1] == 1:
+            object.__setattr__(self, "x", _readonly(self.x[:, 0]))
         object.__setattr__(self, "y", _readonly(self.y))
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError("x and y must have the same number of rows")

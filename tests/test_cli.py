@@ -11,7 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from ppmkit import Dataset, PosteriorDraws, demo
+from ppmkit import (
+    Dataset,
+    DiagnosticsError,
+    MeanFunctionSpec,
+    ModelSpec,
+    PosteriorDraws,
+    VarianceFunctionSpec,
+    demo,
+    inference,
+)
 from ppmkit.cli import main
 
 
@@ -174,6 +183,45 @@ class TestFit:
         for key in ("r_hat", "ess"):
             assert set(payload[key]) == {"theta1", "theta2", "sigma"}
             assert all(math.isnan(v) for v in payload[key].values())
+
+    def test_feature_count_mismatch_is_usage_error(self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "two_features.json"
+        ModelSpec(mean=MeanFunctionSpec("linear", n_features=2),
+                  variance=VarianceFunctionSpec("constant"), name="plane").save(model_path)
+        rc = main(["fit", "--data", str(workdir / "data.csv"), "--model", str(model_path),
+                   "--out-draws", str(tmp_path / "d.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'plane' takes 2 feature(s)" in err
+        assert "the dataset has 1" in err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_too_few_samples_to_diagnose_is_usage_error(self, workdir, tmp_path, capsys):
+        rc = main(["fit", "--data", str(workdir / "data.csv"),
+                   "--model", str(workdir / "model.json"),
+                   "--out-draws", str(tmp_path / "d.csv"),
+                   "--out-diagnostics", str(tmp_path / "diag.json"),
+                   "--samples", "3", "--seed", "0"])
+        assert rc == 2
+        assert "4 draws per chain" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+        assert not (tmp_path / "diag.json").exists()
+
+    def test_undiagnosable_fit_is_runtime_failure(self, workdir, tmp_path, capsys,
+                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise DiagnosticsError("parameter 'sigma' is constant across all draws")
+
+        monkeypatch.setattr(inference, "compute_diagnostics", refuse)
+        rc = main(["fit", "--data", str(workdir / "data.csv"),
+                   "--model", str(workdir / "model.json"),
+                   "--out-draws", str(tmp_path / "d.csv"),
+                   "--out-diagnostics", str(tmp_path / "diag.json"),
+                   "--chains", "2", "--warmup", "20", "--samples", "20", "--seed", "0"])
+        assert rc == 1
+        assert "constant across all draws" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+        assert not (tmp_path / "diag.json").exists()
 
     def test_plug_in_writes_single_row(self, workdir, tmp_path):
         out = tmp_path / "params.csv"

@@ -26,6 +26,7 @@ from ppmkit import (
     ModelSpec,
     PosteriorDraws,
     VarianceFunctionSpec,
+    demo,
     diagnostics,
     fit,
     fit_ensemble,
@@ -33,6 +34,7 @@ from ppmkit import (
     normal,
     plug_in_fit,
     posterior_predictive,
+    simulate_classification,
     simulate_dataset,
     truncated_normal,
 )
@@ -57,6 +59,20 @@ def true_model_spec():
         mean=MeanFunctionSpec("true_model"),
         variance=VarianceFunctionSpec("constant"),
     )
+
+
+def density_case(kind):
+    """(model, data) of a demo model kind, or of a student_t outcome model."""
+    if kind == "logistic":
+        return demo.classification_model(), simulate_classification(
+            300, demo.CLASSIFICATION_COEF, seed=10)
+    if kind == "scale-trend":
+        return demo.variance_trend_model(), demo.heteroscedastic_example()
+    if kind == "student_t":
+        model = ModelSpec(mean=MeanFunctionSpec("true_model"), family="student_t", df=4.0,
+                          variance=VarianceFunctionSpec("constant"))
+        return model, demo.running_example()
+    return demo.regression_model(kind), demo.running_example()
 
 
 class TestModelSpec:
@@ -169,6 +185,27 @@ class TestLogPosterior:
         data = simulate_dataset(5, seed=0)
         with pytest.raises(ValueError):
             log_posterior(model, data, np.array([3.0, 0.2]))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "exp3", "exp2", "true_model",
+                                      "michaelis_menten", "logistic", "scale-trend",
+                                      "student_t"])
+    def test_draw_matrix_rows_equal_vector_calls(self, kind):
+        model, data = density_case(kind)
+        rows = np.random.default_rng(5).normal(0.5, 1.0, size=(40, model.n_params))
+        rows[0, -1] = 0.0  # a zero constant scale
+        rows[1, -1] = -0.3  # a negative constant scale
+        rows[2, 0] = -1.0  # theta1 < 0, outside a lower-bounded prior
+        rows[3] = 60.0  # logistic: probability exactly 1 at rows with y = 0
+        matrix = log_posterior(model, data, rows)
+        assert matrix.shape == (40,)
+        np.testing.assert_array_equal(matrix, [log_posterior(model, data, r) for r in rows])
+        assert np.isneginf(matrix[:4]).any() and np.isfinite(matrix).any()
+
+    def test_three_dimensional_theta_is_an_error(self):
+        model = true_model_spec()
+        data = simulate_dataset(5, seed=0)
+        with pytest.raises(ValueError, match="draw matrix"):
+            log_posterior(model, data, np.full((2, 2, 3), 0.5))
 
 
 class TestFit:

@@ -94,6 +94,14 @@ class TestDataset:
         back = csv_round_trip(d)
         assert same_bits(back.x, d.x) and same_bits(back.y, d.y)
 
+    def test_one_feature_column_is_stored_as_a_single_feature(self, tmp_path):
+        # an (n, 1) x would broadcast against y (n,) into an (n, n) likelihood
+        p = tmp_path / "d.csv"
+        p.write_text("x1,y\n0.1,0.2\n0.3,0.5\n0.5,0.6\n")
+        d = Dataset.from_csv(p)
+        assert d.x.shape == (3,) and d.n_features == 1
+        assert Dataset(x=d.x[:, None], y=d.y).x.shape == (3,)
+
     def test_csv_reader_rejects_an_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
