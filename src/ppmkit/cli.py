@@ -235,6 +235,10 @@ def cmd_predict(args) -> int:
         queries = np.asarray(args.x, dtype=float)
     else:
         raise UsageError("supply --x or --grid")
+    if args.out_widths and len(queries) < 2:
+        raise UsageError("--out-widths requires a grid of queries")
+    if args.out_samples and len(models) > 1 and args.combine == "none":
+        raise UsageError("--out-samples with several models requires --combine")
     if args.truncate_lower is not None or args.truncate_upper is not None:
         bounds = (args.truncate_lower, args.truncate_upper)
         models = [dataclasses.replace(m, truncation=bounds) for m in models]
@@ -271,18 +275,11 @@ def cmd_predict(args) -> int:
     )
 
     if args.out_samples:
-        if combined is not None:
-            series = combined
-        elif len(per_model) == 1:
-            series = next(iter(per_model.values()))
-        else:
-            raise UsageError("--out-samples with several models requires --combine")
+        series = combined or next(iter(per_model.values()))
         rows = [(float(p.x), float(s)) for p in series for s in p.samples]
         _write_atomic(args.out_samples, csv_text(["x", "sample"], rows))
 
     if args.out_widths:
-        if len(queries) < 2:
-            raise UsageError("--out-widths requires a grid of queries")
         # each model's intervals, and the average's when combined, are in results already
         names = [name for name in per_model for _ in queries] + ["average"] * len(queries)
         rows = [(n, e["x"], e["pi_upper"] - e["pi_lower"]) for n, e in zip(names, results)]
@@ -302,6 +299,10 @@ def cmd_decompose(args) -> int:
     if model.family != "bernoulli":
         raise UsageError("decompose requires a classification (bernoulli) model")
     draws = PosteriorDraws.from_csv(_require_file(args.draws, "draws file"))
+    band = None  # computed before any file is written, so a bad grid leaves none behind
+    if args.boundary_grid:
+        band = decision_boundary_band(draws, model, _parse_grid(args.boundary_grid),
+                                      level=args.level)
     results = []
     for text in args.x:
         features = [float(v) for v in text.split(",")]
@@ -312,10 +313,8 @@ def cmd_decompose(args) -> int:
         args.out,
         _json_text({"run_config": _run_config(args), "results": results}),
     )
-    if args.boundary_grid:
-        grid = _parse_grid(args.boundary_grid)
-        band = decision_boundary_band(draws, model, grid, level=args.level)
-        rows = list(zip(band.x1, band.lower, band.upper))
+    if band is not None:
+        rows = zip(band.x1, band.lower, band.upper)
         _write_atomic(args.out_boundary, csv_text(["x1", "lower", "upper"], rows))
     return 0
 
@@ -357,20 +356,18 @@ def cmd_report(args) -> int:
     var_model = demo.variance_trend_model()
     var_const_model = demo.regression_model("true_model")
     cls_model = demo.classification_model()
-    jobs = [
-        ("quadratic_full", quad, data),
-        ("exp2_full", exp2, data),
-        ("exp3_full", exp3, data),
-        ("quadratic_sub", quad, sub),
-        ("var_trend", var_model, hetero),
-        ("var_const", var_const_model, hetero),
-        ("logistic", cls_model, cls_data),
-    ] + [(f"gen_{i}", exp3, g) for i, g in enumerate(generated)]
-    names, models, datasets = zip(*jobs)
-    configs = [
-        demo.fit_settings(demo.preset_for(model), seed + 1000 * (i + 1), args.fast)
-        for i, model in enumerate(models)
-    ]
+    jobs = [  # (fit name, model, dataset, sampler preset kind)
+        ("quadratic_full", quad, data, "quadratic"),
+        ("exp2_full", exp2, data, "exp2"),
+        ("exp3_full", exp3, data, "exp3"),
+        ("quadratic_sub", quad, sub, "quadratic"),
+        ("var_trend", var_model, hetero, "scale-trend"),
+        ("var_const", var_const_model, hetero, "true_model"),
+        ("logistic", cls_model, cls_data, "logistic"),
+    ] + [(f"gen_{i}", exp3, g, "exp3") for i, g in enumerate(generated)]
+    names, models, datasets, kinds = zip(*jobs)
+    configs = [demo.fit_settings(kind, seed + 1000 * (i + 1), args.fast)
+               for i, kind in enumerate(kinds)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             fitted = list(pool.map(fit, models, datasets, configs))

@@ -136,11 +136,3 @@ def fit_settings(kind: str, seed: int, fast: bool = False) -> FitConfig:
     if fast:
         cfg = replace(cfg, warmup=max(warmup // 10, 50), samples=max(samples // 10, 50), thin=1)
     return cfg
-
-
-def preset_for(model: ModelSpec) -> str:
-    if model.variance is not None and model.variance.form == "linear_in_mu":
-        return "scale-trend"
-    if model.family == "bernoulli":
-        return "logistic"
-    return model.mean.form

@@ -454,15 +454,15 @@ _PLUG_IN_RESTARTS = 12
 
 
 def plug_in_fit(model: ModelSpec, data: Dataset, seed: int = 0) -> np.ndarray:
-    """Maximum a-posteriori point estimate by multi-start Nelder-Mead.
+    """Maximum a-posteriori point estimate by multi-start bounded L-BFGS-B.
 
-    ``_PLUG_IN_RESTARTS`` starts are drawn from the priors; the best optimum
-    is polished with repeated restarts so the simplex can re-expand.
-    Deterministic for a given seed.
+    ``_PLUG_IN_RESTARTS`` starts are drawn from the priors; each gets one
+    L-BFGS-B search inside the priors' own bounds (``DistributionSpec.lower``
+    and ``upper``), and the best optimum is kept.  Deterministic for a given
+    seed.
     """
-    if data.n == 0:
-        raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
+    bounds = [(p.lower, p.upper) for p in model.priors]
 
     def objective(theta):
         lp = log_posterior(model, data, theta)
@@ -471,21 +471,11 @@ def plug_in_fit(model: ModelSpec, data: Dataset, seed: int = 0) -> np.ndarray:
     best_theta, best_val = None, np.inf
     for _ in range(_PLUG_IN_RESTARTS):
         start = _init_from_priors(model, data, [rng])[0][0]
-        res = optimize.minimize(
-            objective, start, method="Nelder-Mead",
-            options={"maxiter": 400 * model.n_params, "xatol": 1e-9, "fatol": 1e-10},
-        )
+        res = optimize.minimize(objective, start, method="L-BFGS-B", bounds=bounds)
         if res.fun < best_val:
             best_theta, best_val = res.x, res.fun
-    if best_theta is None or best_val >= 1e100:
+    if best_val >= 1e100:
         raise FitError("plug-in optimization failed to find a finite posterior mode")
-    for _ in range(3):  # polish: restart the simplex at the incumbent
-        res = optimize.minimize(
-            objective, best_theta, method="Nelder-Mead",
-            options={"maxiter": 400 * model.n_params, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        if res.fun < best_val:
-            best_theta, best_val = res.x, res.fun
     return np.asarray(best_theta, dtype=float)
 
 

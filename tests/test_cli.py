@@ -348,6 +348,25 @@ class TestPredict:
                    "--out-summary", str(tmp_path / "s.json")])
         assert rc == 2
 
+    def test_widths_without_a_grid_write_nothing(self, workdir, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        rc = main(["predict", "--draws", str(workdir / "draws.csv"),
+                   "--model", str(workdir / "model.json"), "--x", "0.5",
+                   "--out-summary", str(out), "--out-widths", str(tmp_path / "w.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_samples_of_uncombined_models_write_nothing(self, workdir, tmp_path, capsys):
+        draws, model = str(workdir / "draws.csv"), str(workdir / "model.json")
+        rc = main(["predict", "--draws", draws, "--model", model,
+                   "--draws", draws, "--model", model, "--x", "0.5", "--combine", "none",
+                   "--out-summary", str(tmp_path / "s.json"),
+                   "--out-samples", str(tmp_path / "samples.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def cls_fit(tmp_path_factory):
@@ -388,6 +407,15 @@ class TestDecompose:
         widths = [float(r.split(",")[2]) - float(r.split(",")[1]) for r in rows]
         assert xs == sorted(xs)
         assert all(w >= 0.0 for w in widths)
+
+    def test_bad_boundary_grid_writes_nothing(self, cls_fit, tmp_path, capsys):
+        rc = main(["decompose", "--draws", str(cls_fit / "draws.csv"),
+                   "--model", str(cls_fit / "cls.json"), "--x", "0,0",
+                   "--boundary-grid", "bad", "--out", str(tmp_path / "dec.json"),
+                   "--out-boundary", str(tmp_path / "band.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_scalar_predict_on_two_feature_model_is_usage_error(self, cls_fit, tmp_path, capsys):
         rc = main(["predict", "--draws", str(cls_fit / "draws.csv"),

@@ -457,6 +457,26 @@ class TestPlugInFit:
         lp_draws = np.array([log_posterior(model, data, th) for th in draws.draws])
         assert lp_hat >= lp_draws.max() - 1e-6
 
+    @pytest.mark.parametrize("kind", ["exp2", "exp3", "quadratic", "michaelis_menten",
+                                      "scale-trend"])
+    def test_mode_dominates_posterior_draws_of_demo_kind(self, kind):
+        model, data = density_case(kind)
+        draws = fit(model, data, FitConfig(chains=2, warmup=400, samples=400, seed=1))
+        lp_hat = log_posterior(model, data, plug_in_fit(model, data, seed=0))
+        assert lp_hat >= log_posterior(model, data, draws.draws).max() - 1e-6
+
+    def test_mode_stops_at_a_prior_upper_bound(self):
+        # the data want theta1 near 3.25; the prior allows at most 2
+        model = ModelSpec(
+            mean=MeanFunctionSpec("true_model"),
+            variance=VarianceFunctionSpec("constant"),
+            priors=(truncated_normal(0.0, 5.0, lower=0.0, upper=2.0), normal(0.0, 2.0),
+                    truncated_normal(0.0, 2.0, lower=0.0)),
+        )
+        theta = plug_in_fit(model, simulate_dataset(40, seed=4), seed=0)
+        assert theta[0] <= 2.0
+        assert theta[0] == pytest.approx(2.0, abs=1e-6)
+
 
 class TestDiagnostics:
     def _draws_from_chains(self, chains, names=("a",)):
