@@ -38,7 +38,7 @@ from ppmkit import (
     simulate_dataset,
     truncated_normal,
 )
-from ppmkit.inference import compute_diagnostics
+from ppmkit.inference import _Unconstrained, compute_diagnostics
 
 HALF_LOG_2PI = 0.9189385332046727
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -261,6 +261,23 @@ class TestFit:
         draws = fit(true_model_spec(), data, FitConfig(chains=2, warmup=100, samples=60, thin=3, seed=0))
         assert draws.draws.shape == (120, 3)
 
+    def test_exp3_converges_at_its_preset(self):
+        draws = fit(demo.regression_model("exp3"), demo.running_example(),
+                    demo.fit_settings("exp3", 1009))
+        assert draws.diagnostics.max_r_hat() <= 1.01
+        assert min(draws.diagnostics.ess.values()) >= 400
+
+    def test_no_scale_trend_chain_gets_stuck(self):
+        # the main mode sits near a log posterior of 54; a chain caught in a
+        # local mode averages far below it
+        model, data = demo.variance_trend_model(), demo.heteroscedastic_example(seed=3)
+        for seed in range(100, 140, 2):
+            draws = fit(model, data, FitConfig(chains=2, warmup=1500, samples=800, thin=3,
+                                               seed=seed))
+            lp = log_posterior(model, data, draws.by_chain().reshape(-1, model.n_params))
+            chain_means = lp.reshape(2, -1).mean(axis=1)
+            assert np.all(chain_means > 50.0), (seed, chain_means)
+
     def test_posterior_contraction_with_more_data(self):
         # doubling n must not widen the theta1 posterior beyond noise
         sds_small, sds_big = [], []
@@ -271,6 +288,52 @@ class TestFit:
             sds_small.append(fit(true_model_spec(), small, cfg).column("theta1").std(ddof=1))
             sds_big.append(fit(true_model_spec(), big, cfg).column("theta1").std(ddof=1))
         assert np.mean(sds_big) <= np.mean(sds_small) * 1.10
+
+
+BOUNDED_THETA1 = {
+    "one-sided": truncated_normal(0.0, 5.0, lower=0.0),
+    "two-sided": truncated_normal(0.0, 5.0, lower=0.0, upper=2.0),
+}
+
+
+def bounded_model(theta1_prior):
+    return ModelSpec(
+        mean=MeanFunctionSpec("true_model"),
+        variance=VarianceFunctionSpec("constant"),
+        priors=(theta1_prior, normal(0.0, 2.0), truncated_normal(0.0, 2.0, lower=0.0)),
+    )
+
+
+class TestUnconstrainedSampling:
+    @pytest.mark.parametrize("bounds", sorted(BOUNDED_THETA1))
+    def test_draws_lie_strictly_inside_their_bounds(self, bounds):
+        # the data want theta1 near 3.25, so the two-sided prior piles mass at 2
+        model = bounded_model(BOUNDED_THETA1[bounds])
+        draws = fit(model, simulate_dataset(40, seed=4),
+                    FitConfig(chains=2, warmup=400, samples=400, seed=1))
+        theta1, sigma = draws.column("theta1"), draws.column("sigma")
+        assert np.all(theta1 > 0.0) and np.all(sigma > 0.0)
+        if bounds == "two-sided":
+            assert np.all(theta1 < 2.0)
+            assert theta1.max() > 1.9
+
+    @pytest.mark.parametrize("bounds", sorted(BOUNDED_THETA1))
+    def test_density_adds_the_log_jacobian(self, bounds):
+        model = bounded_model(BOUNDED_THETA1[bounds])
+        data = simulate_dataset(40, seed=4)
+        density = _Unconstrained(model, data)
+        u = np.random.default_rng(2).normal(0.0, 1.5, size=(6, 3))
+        theta = density.constrain(u)[0]
+        np.testing.assert_allclose(density.unconstrain(theta), u, rtol=0.0, atol=1e-9)
+        h = 1e-6
+        slope = np.empty_like(u)
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = h
+            slope[:, j] = (density.constrain(u + step)[0][:, j]
+                           - density.constrain(u - step)[0][:, j]) / (2.0 * h)
+        expected = log_posterior(model, data, theta) + np.log(np.abs(slope)).sum(axis=1)
+        np.testing.assert_allclose(density(u), expected, rtol=0.0, atol=1e-6)
 
 
 class TestHeavyTailedOutcome:
