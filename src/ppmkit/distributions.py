@@ -32,21 +32,27 @@ _NEG_INF = float("-inf")
 # --------------------------------------------------------------------- #
 
 
-def normal_logpdf(y, mu, sigma):
-    """Elementwise Normal(mu, sigma) log-density; broadcasts all arguments."""
+def normal_logpdf(y, mu, sigma, log_sigma=None):
+    """Elementwise Normal(mu, sigma) log-density; broadcasts all arguments.
+    ``log_sigma``, when given, is ``np.log(sigma)`` computed once by the caller."""
     z = (np.asarray(y, dtype=float) - mu) / sigma
-    return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
+    if log_sigma is None:
+        log_sigma = np.log(sigma)
+    return -0.5 * z * z - log_sigma - 0.5 * _LOG_2PI
 
 
-def student_t_logpdf(y, mu, sigma, df):
-    """Elementwise location-scale Student-t log-density."""
+def student_t_logpdf(y, mu, sigma, df, log_sigma=None):
+    """Elementwise location-scale Student-t log-density; ``log_sigma`` as for
+    :func:`normal_logpdf`."""
     z = (np.asarray(y, dtype=float) - mu) / sigma
     c = (
         special.gammaln((df + 1.0) / 2.0)
         - special.gammaln(df / 2.0)
         - 0.5 * np.log(df * np.pi)
     )
-    return c - np.log(sigma) - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+    if log_sigma is None:
+        log_sigma = np.log(sigma)
+    return c - log_sigma - 0.5 * (df + 1.0) * np.log1p(z * z / df)
 
 
 def bernoulli_logpmf(y, p):
@@ -68,7 +74,8 @@ def bernoulli_logpmf(y, p):
 @dataclass(frozen=True)
 class Family:
     """An outcome family: ``logpdf``, ``cdf`` and ``ppf`` take ``(y or p, mu, sigma,
-    df)`` and ``sample`` takes ``(mu, sigma, df, rng, size)``, ignoring unused ones."""
+    df)`` and ``sample`` takes ``(mu, sigma, df, rng, size)``, ignoring unused ones;
+    ``logpdf`` also takes ``log_sigma``, the scale's log when the caller has it."""
 
     logpdf: Callable
     cdf: Callable
@@ -80,20 +87,21 @@ class Family:
 
 OUTCOMES = {
     "normal": Family(
-        logpdf=lambda y, mu, sigma, df: normal_logpdf(y, mu, sigma),
+        logpdf=lambda y, mu, sigma, df, log_sigma=None: normal_logpdf(y, mu, sigma, log_sigma),
         cdf=lambda y, mu, sigma, df: special.ndtr((y - mu) / sigma),
         ppf=lambda p, mu, sigma, df: mu + sigma * special.ndtri(p),
         sample=lambda mu, sigma, df, rng, size: mu + sigma * rng.standard_normal(size),
     ),
     "student_t": Family(
-        logpdf=lambda y, mu, sigma, df: student_t_logpdf(y, mu, sigma, df),
+        logpdf=lambda y, mu, sigma, df, log_sigma=None: student_t_logpdf(
+            y, mu, sigma, df, log_sigma),
         cdf=lambda y, mu, sigma, df: stats.t.cdf(y, df, loc=mu, scale=sigma),
         ppf=lambda p, mu, sigma, df: stats.t.ppf(p, df, loc=mu, scale=sigma),
         sample=lambda mu, sigma, df, rng, size: mu + sigma * rng.standard_t(df, size=size),
         has_df=True,
     ),
     "bernoulli": Family(
-        logpdf=lambda y, mu, sigma, df: bernoulli_logpmf(y, mu),
+        logpdf=lambda y, mu, sigma, df, log_sigma=None: bernoulli_logpmf(y, mu),
         cdf=lambda y, mu, sigma, df: np.where(y < 0.0, 0.0, np.where(y < 1.0, 1.0 - mu, 1.0)),
         ppf=lambda p, mu, sigma, df: np.where(p <= 1.0 - mu, 0.0, 1.0),
         sample=lambda mu, sigma, df, rng, size: (rng.random(size) < mu).astype(float),
@@ -184,6 +192,7 @@ class DistributionSpec:
     lower: float | None = None
     upper: float | None = None
     _truncation = None  # not a field: __post_init__ sets it (and _log_mass) when bounded
+    _log_sigma = None  # not a field: np.log(sigma), set by __post_init__ when sigma is
 
     def __post_init__(self):
         if BOUNDED.get(self.family, self.family) not in OUTCOMES:
@@ -206,6 +215,8 @@ class DistributionSpec:
                 raise ValueError(f"student_t requires a finite df > 0, got {self.df}")
         elif self.df is not None:
             raise ValueError("df only applies to student_t")
+        if self.sigma is not None:
+            object.__setattr__(self, "_log_sigma", np.log(self.sigma))
         if self.family in BOUNDED:
             t = _truncate(self._entry, self.mu, self.sigma, None, self.lower, self.upper)
             object.__setattr__(self, "_truncation", t)
@@ -221,7 +232,7 @@ class DistributionSpec:
 
     def log_density(self, y):
         """Natural-log density (or mass) at ``y``; -inf off the support."""
-        out = self._entry.logpdf(y, self.mu, self.sigma, self.df)
+        out = self._entry.logpdf(y, self.mu, self.sigma, self.df, self._log_sigma)
         if self._truncation is not None:
             y = np.asarray(y, dtype=float)
             lo, hi = self._truncation[:2]

@@ -187,10 +187,12 @@ class VarianceFunctionSpec:
 
 
 def sigma_values(spec: VarianceFunctionSpec, theta_sigma, mu):
-    """Evaluate the scale without domain checks; broadcasts like the mean."""
+    """Evaluate the scale without domain checks; broadcasts like the mean.  The
+    constant scale is its parameter, ``theta_sigma[..., 0]``, which broadcasts
+    against ``mu`` rather than taking its shape."""
     theta_sigma = np.asarray(theta_sigma, dtype=float)
     if spec.form == "constant":
-        return theta_sigma[..., 0] * np.ones_like(np.asarray(mu, dtype=float))
+        return theta_sigma[..., 0]
     return softplus(theta_sigma[..., 0] + theta_sigma[..., 1] * np.asarray(mu, dtype=float))
 
 
@@ -204,4 +206,5 @@ def eval_sigma(spec: VarianceFunctionSpec, theta_sigma, mu):
     if spec.form == "constant" and np.any(theta_sigma[..., 0] <= 0.0):
         raise ValueError("constant scale must be > 0")
     out = sigma_values(spec, theta_sigma, mu)
+    out = np.broadcast_to(out, np.broadcast_shapes(np.shape(out), np.shape(mu))).copy()
     return float(out) if np.ndim(out) == 0 else out

@@ -8,9 +8,13 @@ the best of several prior draws.  The first half of warmup sweeps the
 parameters one at a time with adaptive scales; the second half makes block
 moves whose covariance each chain learns in doubling windows and whose
 scale is tuned toward a target acceptance rate.  That kernel is then
-frozen, so retained draws come from a fixed kernel, one block step per
-:func:`log_posterior` call.  Chains step in lockstep, one call scoring
-every chain's proposal; chain ``c`` draws only from
+frozen, so retained draws come from a fixed kernel.  The block moves of
+warmup step the chains in lockstep, one :func:`log_posterior` call scoring
+every chain's proposal.  The sweeps and the retained steps are prefetched:
+one call scores each chain's next moves as if it rejected them all (the
+rest of its sweep, or its next ``_PREFETCH`` steps), and the chain takes
+them up to its first accepted one, so the draws are those of one move per
+call and chains advance at their own pace.  Chain ``c`` draws only from
 ``Generator(master_seed + c)``, so its draws do not depend on the other
 chains.  ``fit`` diagnoses the (chains, samples, params) stack of its
 chains once; draws read from CSV carry no diagnostics, and
@@ -393,18 +397,19 @@ class _Unconstrained:
 
     def constrain(self, u):
         """Parameter rows of unconstrained rows ``u`` (m, k), and the log
-        Jacobian ``log |d theta / d u|`` of each row, (m,)."""
-        theta, log_jac = u.copy(), np.zeros(len(u))
+        Jacobian ``log |d theta / d u|`` of each row, (m,), or 0.0 when no
+        parameter is bounded."""
+        theta, log_jac = u.copy(), 0.0
         if self.one.size:
             one = u[:, self.one]
             with np.errstate(over="ignore"):
                 theta[:, self.one] = self.bound + self.sign * np.exp(one)
-            log_jac += one.sum(axis=1)
+            log_jac = one.sum(axis=1)
         if self.two.size:
             two = u[:, self.two]
             theta[:, self.two] = self.lower + self.width * special.expit(two)
-            log_jac += np.sum(self.log_width + special.log_expit(two)
-                              + special.log_expit(-two), axis=1)
+            log_jac = log_jac + np.sum(self.log_width + special.log_expit(two)
+                                       + special.log_expit(-two), axis=1)
         return theta, log_jac
 
     def unconstrain(self, theta):
@@ -444,28 +449,38 @@ _INIT_CANDIDATES = 32
 
 _NOISE_CHUNK = 1024  # steps of noise each generator draws at a time
 
+# Retained steps each chain scores per density call: its next proposals along the
+# path on which it rejects them all.
+_PREFETCH = 4
+
 
 def _noise(rngs, steps, k):
-    """Per step, the chains' standard normals and log uniforms, each (chains, k)
-    (a block step uses the first uniform only); chain ``c``'s come from
-    ``rngs[c]`` alone."""
+    """Blocks of at most ``_NOISE_CHUNK`` steps of the chains' standard normals
+    and log uniforms, each (block steps, chains, k) (a block step uses the first
+    uniform only); chain ``c``'s come from ``rngs[c]`` alone."""
     for start in range(0, steps, _NOISE_CHUNK):
         n = min(_NOISE_CHUNK, steps - start)
         z = np.stack([rng.standard_normal((n, k)) for rng in rngs], axis=1)
         log_u = np.log(np.stack([rng.random((n, k)) for rng in rngs], axis=1))
+        yield z, log_u
+
+
+def _noise_steps(rngs, steps, k):
+    """Per step, the (chains, k) normals and log uniforms of :func:`_noise`."""
+    for z, log_u in _noise(rngs, steps, k):
         yield from zip(z, log_u)
 
 
 def _metropolis(density, u, lp, proposal, log_u):
     """Move each chain (row of ``u``, updated in place with ``lp``) to its
-    proposal row when ``log_u`` is below the log density ratio; returns the
-    accepted rows' mask and each row's acceptance probability."""
+    proposal row when ``log_u`` is below the log density ratio; returns each
+    row's acceptance probability."""
     lp_new = density(proposal)
     log_ratio = lp_new - lp
     accept = log_u < log_ratio
     u[accept] = proposal[accept]
     lp[accept] = lp_new[accept]
-    return accept, np.exp(np.minimum(log_ratio, 0.0))
+    return np.exp(np.minimum(log_ratio, 0.0))
 
 
 _FIRST_WINDOW = 25  # block steps in the first covariance window; each next one doubles
@@ -491,12 +506,112 @@ def _regularised_cov(draws):
     return n / (n + 5.0) * cov + 1e-3 * 5.0 / (n + 5.0) * np.eye(k)
 
 
+def _explore(density, u, lp, log_scale, rngs, sweeps, target):
+    """Run each chain (row of ``u``, log density ``lp``) ``sweeps`` sweeps of
+    one-coordinate moves; returns the chains' ``u``, ``lp`` and ``log_scale``.
+
+    Move ``j`` of sweep ``t`` proposes ``u_j + exp(log_scale_j) z_j`` and then
+    moves ``log_scale_j`` by ``(t + 1) ** -0.6 (alpha - target)``, ``alpha``
+    its acceptance probability.  No scale changes until its own move, so one
+    ``density`` call scores the rest of a chain's sweep as if it rejected every
+    move; the chain takes moves up to its first accepted one.  Chains advance
+    by different move counts and meet again at the end of each noise block."""
+    chains, k = u.shape
+    rows, coord = np.arange(chains), np.arange(k)
+    # Python's pow: numpy's vector power differs in the last bit
+    gains = [(t + 1) ** -0.6 for t in range(sweeps)]
+    done = 0
+    for z, log_u in _noise(rngs, sweeps, k):
+        n = len(z)
+        # padded by one sweep that proposes the chain's own state, which a log
+        # uniform of +inf never accepts and a gain of 0 never adapts to: a chain
+        # that has finished the block scores it until the others finish it too
+        z = np.concatenate([z, np.zeros((1, chains, k))]).swapaxes(0, 1)
+        log_u = np.concatenate([log_u, np.full((1, chains, k), np.inf)]).swapaxes(0, 1)
+        gain = np.array(gains[done : done + n] + [0.0])
+        t, j = np.zeros(chains, dtype=int), np.zeros(chains, dtype=int)  # sweep, move
+        while (t < n).any():
+            proposal = np.repeat(u[:, None], k, axis=1)  # row j moves coordinate j
+            proposal[:, coord, coord] += np.exp(log_scale) * z[rows, t]
+            lp_new = density(proposal.reshape(-1, k)).reshape(chains, k)
+            log_ratio = lp_new - lp[:, None]
+            todo = coord >= j[:, None]
+            accept = (log_u[rows, t] < log_ratio) & todo
+            last = np.where(accept.any(axis=1), accept.argmax(axis=1), k - 1)  # last move taken
+            moved = accept[rows, last]
+            alpha = np.exp(np.minimum(log_ratio, 0.0))
+            log_scale = np.where(todo & (coord <= last[:, None]),
+                                 log_scale + gain[t, None] * (alpha - target), log_scale)
+            u = np.where(moved[:, None], proposal[rows, last], u)
+            lp = np.where(moved, lp_new[rows, last], lp)
+            j = (last + 1) % k
+            t = np.minimum(t + (j == 0), n)
+        done += n
+    return u, lp, log_scale
+
+
+def _frozen_kernel(density, u, lp, step, rngs, samples, thin):
+    """Run each chain (row of ``u``, log density ``lp``) ``samples * thin`` steps of
+    the block kernel whose proposal is ``u + step[c] @ z``; returns the state after
+    every ``thin``-th step, (chains, samples, k), and each chain's accepted count.
+
+    One ``density`` call scores ``_PREFETCH`` proposals per chain: the chain's
+    next proposals as if it rejected them all.  The chain takes the first that
+    its uniform accepts, or rejects them all, so its path is the one-step
+    kernel's exactly.  Chains advance by different step counts and meet again
+    at the end of each noise block."""
+    chains, k = u.shape
+    rows, depth = np.arange(chains), np.arange(_PREFETCH)
+    accepted = np.zeros(chains, dtype=int)
+    kept = np.arange(1, samples + 1) * thin - 1  # the step each retained draw follows
+    draws = np.empty((chains, samples, k))
+    done = 0  # steps before the block
+    for z, log_u in _noise(rngs, samples * thin, k):
+        n, width = len(z), len(z) + _PREFETCH
+        # chain c's steps fill rows c * width ..., padded with proposals that a
+        # log uniform of +inf never accepts; a chain that has finished the block
+        # scores those until the others finish it too
+        incr = np.zeros((chains, width, k))
+        incr[:, :n] = np.einsum("cij,ncj->cni", step, z)
+        incr = incr.reshape(-1, k)
+        log_u_pad = np.full((chains, width), np.inf)
+        log_u_pad[:, :n] = log_u[:, :, 0].T
+        log_u_pad = log_u_pad.ravel()
+        base = rows * width
+        pos, end = base, base + n
+        positions, states = [pos], [u]  # after each call, each chain's position and state
+        while (pos < end).any():
+            ahead = pos[:, None] + depth
+            proposal = u[:, None] + incr[ahead]
+            lp_new = density(proposal.reshape(-1, k)).reshape(ahead.shape)
+            accept = log_u_pad[ahead] < lp_new - lp[:, None]
+            first = accept.argmax(axis=1)
+            moved = accept[rows, first]
+            pos = np.minimum(pos + np.where(moved, first + 1, _PREFETCH), end)
+            u = np.where(moved[:, None], proposal[rows, first], u)
+            lp = np.where(moved, lp_new[rows, first], lp)
+            accepted += moved
+            positions.append(pos)
+            states.append(u)
+        # a draw is the state after the last call whose last step is not past the draw's
+        taken = np.array(positions) - base + (done - 1)  # (calls + 1, chains) last steps
+        states = np.array(states)
+        lo, hi = np.searchsorted(kept, [done, done + n])
+        for c in range(chains):
+            draws[c, lo:hi] = states[np.searchsorted(taken[:, c], kept[lo:hi], side="right") - 1, c]
+        done += n
+    return draws, accepted
+
+
 def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> PosteriorDraws:
     """Sample the posterior over all model parameters.
 
     The sampler is the module's adaptive Metropolis on the parameterisation
     of :class:`_Unconstrained`: block moves as in Haario, Saksman and
     Tamminen (2001), their scale tuned as in Roberts and Rosenthal (2009).
+    The sweeps and the frozen kernel's retained steps are prefetched along
+    each chain's reject path (Brockwell 2006), several moves per
+    :func:`log_posterior` call, with the draws of one move per call.
     Raises :class:`FitError` if every chain is stuck after warmup (with
     diagnostics attached) or if the draws cannot be diagnosed.
     """
@@ -520,12 +635,7 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     # exploration: one coordinate at a time, each with its own adaptive scale
     explore = config.warmup // 2
     log_scale = np.full((config.chains, k), math.log(config.init_scale))
-    for t, (z, log_u) in enumerate(_noise(rngs, explore, k)):
-        for j in range(k):
-            proposal = u.copy()
-            proposal[:, j] += np.exp(log_scale[:, j]) * z[:, j]
-            alpha = _metropolis(density, u, lp, proposal, log_u[:, j])[1]
-            log_scale[:, j] += (t + 1) ** -0.6 * (alpha - target)
+    u, lp, log_scale = _explore(density, u, lp, log_scale, rngs, explore, target)
 
     # adaptation: block moves, starting from the exploration scales
     chol = np.exp(log_scale)[:, None, :] * np.eye(k)  # Cholesky factor of each covariance
@@ -533,9 +643,9 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     log_lam = np.full(config.chains, reset)
     history = np.empty((config.chains, config.warmup - explore, k))
     ends, start = _window_ends(history.shape[1]), 0
-    for t, (z, log_u) in enumerate(_noise(rngs, history.shape[1], k)):
+    for t, (z, log_u) in enumerate(_noise_steps(rngs, history.shape[1], k)):
         proposal = u + np.exp(log_lam)[:, None] * np.einsum("cij,cj->ci", chol, z)
-        alpha = _metropolis(density, u, lp, proposal, log_u[:, 0])[1]
+        alpha = _metropolis(density, u, lp, proposal, log_u[:, 0])
         log_lam += (t + 1 - start) ** -0.6 * (alpha - target)
         history[:, t] = u
         if t + 1 in ends:  # estimate from all block draws so far, as adaptive Metropolis does
@@ -543,17 +653,10 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
             log_lam[:] = reset
             start = t + 1
 
-    # sampling: the frozen kernel, one block step per density call
-    step = np.exp(log_lam)[:, None, None] * chol
-    accepted = np.zeros(config.chains)
-    stacked = np.empty((config.chains, config.samples, k))  # (chains, samples, params)
-    for t, (z, log_u) in enumerate(_noise(rngs, config.samples * config.thin, k)):
-        accepted += _metropolis(density, u, lp, u + np.einsum("cij,cj->ci", step, z),
-                                log_u[:, 0])[0]
-        s, r = divmod(t + 1, config.thin)
-        if r == 0:
-            stacked[:, s - 1] = u
-    stacked = density.constrain(stacked.reshape(-1, k))[0].reshape(stacked.shape)
+    # sampling: the frozen kernel, prefetched
+    draws, accepted = _frozen_kernel(density, u, lp, np.exp(log_lam)[:, None, None] * chol,
+                                     rngs, config.samples, config.thin)
+    stacked = density.constrain(draws.reshape(-1, k))[0].reshape(draws.shape)
 
     names = model.parameter_names
     acceptance = tuple((accepted / (config.samples * config.thin)).tolist())

@@ -169,6 +169,10 @@ class TestVarianceFunctions:
         for mu in (-3.0, 0.0, 7.5):
             assert eval_sigma(spec, [0.1], mu) == pytest.approx(0.1)
 
+    def test_constant_takes_the_shape_of_mu(self):
+        out = eval_sigma(VarianceFunctionSpec("constant"), [0.1], np.array([-1.0, 0.0, 2.0]))
+        np.testing.assert_array_equal(out, [0.1, 0.1, 0.1])
+
     def test_constant_must_be_positive(self):
         with pytest.raises(ValueError):
             eval_sigma(VarianceFunctionSpec("constant"), [0.0], 1.0)

@@ -38,7 +38,8 @@ from ppmkit import (
     simulate_dataset,
     truncated_normal,
 )
-from ppmkit.inference import _Unconstrained, compute_diagnostics
+from ppmkit import inference
+from ppmkit.inference import _NOISE_CHUNK, _PREFETCH, _Unconstrained, compute_diagnostics
 
 HALF_LOG_2PI = 0.9189385332046727
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -334,6 +335,118 @@ class TestUnconstrainedSampling:
                            - density.constrain(u - step)[0][:, j]) / (2.0 * h)
         expected = log_posterior(model, data, theta) + np.log(np.abs(slope)).sum(axis=1)
         np.testing.assert_allclose(density(u), expected, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("m", [1, 4, 24])
+    @pytest.mark.parametrize("bounds", sorted(BOUNDED_THETA1))
+    def test_rows_equal_lone_row_calls(self, bounds, m):
+        # prefetching scores many proposals in one call, so a row's density
+        # must not depend on the rows beside it
+        model = bounded_model(BOUNDED_THETA1[bounds])
+        density = _Unconstrained(model, simulate_dataset(40, seed=4))
+        u = np.random.default_rng(m).normal(0.0, 1.5, size=(m, 3))
+        u[0, 2] = 800.0  # exp(u) overflows: sigma is inf, so the row scores -inf
+        matrix = density(u)
+        assert matrix.shape == (m,)
+        assert np.isneginf(matrix[0])
+        np.testing.assert_array_equal(matrix, [density(row[None])[0] for row in u])
+
+
+def prefetch_case(name):
+    """(model, data, config) of a fit the prefetch depth must not change."""
+    if name == "exp3":
+        return (demo.regression_model("exp3"), demo.running_example(),
+                FitConfig(chains=4, warmup=600, samples=600, thin=2, seed=1009))
+    if name == "logistic":
+        return (*density_case("logistic"), FitConfig(chains=4, warmup=400, samples=1100, seed=3))
+    if name == "scale-trend":
+        return (demo.variance_trend_model(), demo.heteroscedastic_example(seed=3),
+                FitConfig(chains=2, warmup=600, samples=400, thin=3, seed=7))
+    if name == "two-sided":
+        return (bounded_model(BOUNDED_THETA1["two-sided"]), simulate_dataset(40, seed=4),
+                FitConfig(chains=3, warmup=400, samples=400, seed=1))
+    # thin 3: 1041 retained steps cross a noise block and are no multiple of the depth
+    return (true_model_spec(), simulate_dataset(30, seed=3),
+            FitConfig(chains=3, warmup=100, samples=347, thin=3, seed=0))
+
+
+class TestPrefetch:
+    @pytest.mark.parametrize("name", ["exp3", "logistic", "scale-trend", "two-sided", "thin-3"])
+    def test_depth_changes_no_draw(self, name, monkeypatch):
+        model, data, cfg = prefetch_case(name)
+        if name == "thin-3":
+            steps = cfg.samples * cfg.thin
+            assert steps > _NOISE_CHUNK and steps % _PREFETCH != 0
+        calls = []
+        original = inference.log_posterior
+        monkeypatch.setattr(inference, "log_posterior",
+                            lambda *args: calls.append(1) or original(*args))
+        default = fit(model, data, cfg)
+        default_calls = len(calls)
+        monkeypatch.setattr(inference, "_PREFETCH", 1)  # one step per call
+        one_step = fit(model, data, cfg)
+        np.testing.assert_array_equal(default.draws, one_step.draws)
+        assert default.diagnostics.acceptance == one_step.diagnostics.acceptance
+        assert default_calls < len(calls) - default_calls
+
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_kernel_replays_the_one_step_loop(self, thin):
+        # the one-step Metropolis loop written out, on a correlated Gaussian
+        def density(u):
+            return -0.5 * np.sum(u * u, axis=1) + 0.8 * u[:, 0] * u[:, 1]
+
+        rngs = lambda: [np.random.default_rng(20 + c) for c in range(3)]  # noqa: E731
+        step = np.random.default_rng(1).normal(0.0, 0.7, size=(3, 2, 2))
+        start = np.random.default_rng(2).normal(size=(3, 2))
+        samples = 2 * _NOISE_CHUNK // thin + 5
+        u, lp = start.copy(), density(start)
+        expected, accepted = [], np.zeros(3)
+        for t, (z, log_u) in enumerate(inference._noise_steps(rngs(), samples * thin, 2)):
+            proposal = u + np.einsum("cij,cj->ci", step, z)
+            lp_new = density(proposal)
+            accept = log_u[:, 0] < lp_new - lp
+            u[accept], lp[accept] = proposal[accept], lp_new[accept]
+            accepted += accept
+            if (t + 1) % thin == 0:
+                expected.append(u.copy())
+        draws, count = inference._frozen_kernel(density, start, density(start), step, rngs(),
+                                                samples, thin)
+        np.testing.assert_array_equal(draws, np.stack(expected, axis=1))
+        np.testing.assert_array_equal(count, accepted)
+        assert 0 < count.min() and count.max() < samples * thin
+
+    def test_exploration_replays_the_sweep_loop(self):
+        # the sweep written out, one density call per coordinate move
+        def density(u):
+            return -0.5 * np.sum(u * u, axis=1) + 0.6 * u[:, 0] * u[:, 2]
+
+        rngs = lambda: [np.random.default_rng(40 + c) for c in range(3)]  # noqa: E731
+        start = np.random.default_rng(3).normal(size=(3, 3))
+        sweeps = _NOISE_CHUNK + 70
+        u, lp, log_scale = start.copy(), density(start), np.full((3, 3), math.log(5.0))
+        for t, (z, log_u) in enumerate(inference._noise_steps(rngs(), sweeps, 3)):
+            for j in range(3):
+                proposal = u.copy()
+                proposal[:, j] += np.exp(log_scale[:, j]) * z[:, j]
+                lp_new = density(proposal)
+                log_ratio = lp_new - lp
+                accept = log_u[:, j] < log_ratio
+                u[accept], lp[accept] = proposal[accept], lp_new[accept]
+                log_scale[:, j] += (t + 1) ** -0.6 * (np.exp(np.minimum(log_ratio, 0.0)) - 0.3)
+        got = inference._explore(density, start, density(start), np.full((3, 3), math.log(5.0)),
+                                 rngs(), sweeps, 0.3)
+        for actual, expected in zip(got, (u, lp, log_scale)):
+            np.testing.assert_array_equal(actual, expected)
+
+    def test_depth_keeps_the_stuck_fit_error(self, monkeypatch):
+        data = simulate_dataset(20, seed=1)
+        cfg = FitConfig(chains=2, warmup=1, samples=50, init_scale=1e12, seed=0)
+        errors = []
+        for depth in (_PREFETCH, 1):
+            monkeypatch.setattr(inference, "_PREFETCH", depth)
+            with pytest.raises(FitError, match="all chains stuck") as err:
+                fit(true_model_spec(), data, cfg)
+            errors.append(err.value.diagnostics)
+        assert errors[0].acceptance == errors[1].acceptance == (0.0, 0.0)
 
 
 class TestHeavyTailedOutcome:
