@@ -125,6 +125,12 @@ def sample_values(family, mu, sigma, df, rng, size):
     return OUTCOMES[family].sample(mu, sigma, df, rng, size)
 
 
+def _bounded(y, out, lower, upper, log_mass):
+    """A truncated log density from its untruncated one ``out`` at ``y``: ``out``
+    less the log mass inside [lower, upper], and -inf outside."""
+    return np.where((y < lower) | (y > upper), _NEG_INF, out - log_mass)
+
+
 def _truncate(entry, mu, sigma, df, lower, upper):
     """(lo, hi, flip, f_lo, mass) of ``entry`` truncated to [lower, upper]; where the interval
     lies above ``mu`` (flip), f_lo and mass belong to its mirror image through ``mu``."""
@@ -234,9 +240,7 @@ class DistributionSpec:
         """Natural-log density (or mass) at ``y``; -inf off the support."""
         out = self._entry.logpdf(y, self.mu, self.sigma, self.df, self._log_sigma)
         if self._truncation is not None:
-            y = np.asarray(y, dtype=float)
-            lo, hi = self._truncation[:2]
-            out = np.where((y < lo) | (y > hi), _NEG_INF, out - self._log_mass)
+            out = _bounded(np.asarray(y, dtype=float), out, *self._truncation[:2], self._log_mass)
         return float(out) if np.ndim(out) == 0 else out
 
     def cdf(self, y):
@@ -282,6 +286,37 @@ class DistributionSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "DistributionSpec":
         return cls(obj["family"], obj["mu"], *(obj.get(key) for key in _JSON_KEYS[2:]))
+
+
+class PriorTable:
+    """The priors of a parameter vector, built once: per ``OUTCOMES`` family its
+    columns and ``mu``/``sigma``/``df``/``log_sigma`` vectors, and per column the
+    bounds and log mass (+-inf and 0 where untruncated).  It holds family names,
+    not :class:`Family` entries, so it pickles."""
+
+    def __init__(self, priors):
+        families = np.array([BOUNDED.get(p.family, p.family) for p in priors])
+        self.groups = []  # (family, columns or a slice of all, mu, sigma, df, log_sigma)
+        for family in dict.fromkeys(families.tolist()):
+            cols = np.flatnonzero(families == family)
+            params = (np.array([getattr(priors[j], key) for j in cols], dtype=float)
+                      for key in ("mu", "sigma", "df", "_log_sigma"))
+            self.groups.append((family, slice(None) if cols.size == len(priors) else cols, *params))
+        self.lower = np.array([-np.inf if p.lower is None else p.lower for p in priors], float)
+        self.upper = np.array([np.inf if p.upper is None else p.upper for p in priors], float)
+        self.log_mass = np.array([getattr(p, "_log_mass", 0.0) for p in priors])
+
+    def __call__(self, rows):
+        """Log prior of each row of ``rows`` (m, k), (m,), one kernel call per family:
+        bit for bit the sum of :meth:`DistributionSpec.log_density` over the columns,
+        left to right from 0.0."""
+        terms = np.empty(rows.shape)
+        for family, cols, *params in self.groups:
+            terms[:, cols] = OUTCOMES[family].logpdf(rows[:, cols], *params)
+        total = 0.0
+        for column in _bounded(rows, terms, self.lower, self.upper, self.log_mass).T:
+            total = total + column
+        return total
 
 
 def normal(mu: float, sigma: float) -> DistributionSpec:

@@ -14,11 +14,13 @@ every chain's proposal.  The sweeps and the retained steps are prefetched:
 one call scores each chain's next moves as if it rejected them all (the
 rest of its sweep, or its next ``_PREFETCH`` steps), and the chain takes
 them up to its first accepted one, so the draws are those of one move per
-call and chains advance at their own pace.  Chain ``c`` draws only from
-``Generator(master_seed + c)``, so its draws do not depend on the other
-chains.  ``fit`` diagnoses the (chains, samples, params) stack of its
-chains once; draws read from CSV carry no diagnostics, and
-:func:`diagnostics` computes them on request.
+call and chains advance at their own pace; those accept tests run on Python
+floats.  :func:`log_posterior` scores the priors from the table that a
+:class:`ModelSpec` builds once, one kernel call per prior family.  Chain
+``c`` draws only from ``Generator(master_seed + c)``, so its draws do not
+depend on the other chains.  ``fit`` diagnoses the (chains, samples,
+params) stack of its chains once; draws read from CSV carry no
+diagnostics, and :func:`diagnostics` computes them on request.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize, special, stats
 
 from . import distributions as dist
@@ -83,6 +86,8 @@ class ModelSpec:
     df: float | None = None
     truncation: tuple[float | None, float | None] | None = None
     name: str = ""
+    n_mean_params = n_params = 0  # not fields: the parameter counts, set by __post_init__
+    prior_table = None  # not a field: the priors' PriorTable, set by __post_init__
 
     def __post_init__(self):
         if self.family not in dist.OUTCOMES:
@@ -111,6 +116,9 @@ class ModelSpec:
             lo, hi = self.truncation
             if lo is not None and hi is not None and not lo < hi:
                 raise ValueError("require truncation lower < upper")
+        extra = self.variance.parameter_count if self.variance is not None else 0
+        object.__setattr__(self, "n_mean_params", self.mean.parameter_count)
+        object.__setattr__(self, "n_params", self.n_mean_params + extra)
         if self.priors is not None:
             object.__setattr__(self, "priors", tuple(self.priors))
             if len(self.priors) != self.n_params:
@@ -119,17 +127,9 @@ class ModelSpec:
                 )
         else:
             object.__setattr__(self, "priors", default_priors(self))
+        object.__setattr__(self, "prior_table", dist.PriorTable(self.priors))
         if not self.name:
             object.__setattr__(self, "name", self.mean.form)
-
-    @property
-    def n_mean_params(self) -> int:
-        return self.mean.parameter_count
-
-    @property
-    def n_params(self) -> int:
-        extra = self.variance.parameter_count if self.variance is not None else 0
-        return self.mean.parameter_count + extra
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
@@ -339,7 +339,8 @@ def log_posterior(model: ModelSpec, data: Dataset, theta):
     """Log likelihood plus log prior; -inf anywhere out of support.
 
     ``theta`` is one parameter vector (k,), giving a float, or a draw matrix
-    (m, k), giving an (m,) array whose rows equal the vector calls exactly.
+    (m, k), giving an (m,) array whose rows equal the vector calls exactly;
+    a matrix's priors are scored by ``model.prior_table``.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -351,10 +352,13 @@ def log_posterior(model: ModelSpec, data: Dataset, theta):
         # (m, n) terms summed over the contiguous data axis, as a lone row would be
         mu = model.mu(rows[:, None, :], data.x)
         sigma = model.sigma(rows[:, None, :], mu)
-        out = np.sum(dist.OUTCOMES[model.family].logpdf(data.y, mu, sigma, model.df), axis=-1)
-        logprior = 0.0
-        for prior, column in zip(model.priors, rows.T):
-            logprior = logprior + prior.log_density(column)
+        out = dist.OUTCOMES[model.family].logpdf(data.y, mu, sigma, model.df).sum(axis=-1)
+        if theta.ndim == 2:
+            logprior = model.prior_table(rows)
+        else:  # the same bits prior by prior: bench/tests expects a log_density call each
+            logprior = 0.0
+            for prior, column in zip(model.priors, rows.T):
+                logprior = logprior + prior.log_density(column)
         out = out + logprior
     # a scale <= 0 (or inf, nan) makes its row's likelihood non-finite, so one
     # mask covers the scale, the likelihood and the priors
@@ -379,8 +383,7 @@ class _Unconstrained:
 
     def __init__(self, model: ModelSpec, data: Dataset):
         self.model, self.data = model, data
-        lower = np.array([-np.inf if p.lower is None else p.lower for p in model.priors])
-        upper = np.array([np.inf if p.upper is None else p.upper for p in model.priors])
+        lower, upper = model.prior_table.lower, model.prior_table.upper
         has_lo, has_hi = np.isfinite(lower), np.isfinite(upper)
         self.one = np.flatnonzero(has_lo != has_hi)
         self.bound = np.where(has_lo, lower, upper)[self.one]
@@ -399,7 +402,7 @@ class _Unconstrained:
         """Parameter rows of unconstrained rows ``u`` (m, k), and the log
         Jacobian ``log |d theta / d u|`` of each row, (m,), or 0.0 when no
         parameter is bounded."""
-        theta, log_jac = u.copy(), 0.0
+        theta, log_jac = (u.copy() if self.one.size or self.two.size else u), 0.0
         if self.one.size:
             one = u[:, self.one]
             with np.errstate(over="ignore"):
@@ -517,37 +520,38 @@ def _explore(density, u, lp, log_scale, rngs, sweeps, target):
     move; the chain takes moves up to its first accepted one.  Chains advance
     by different move counts and meet again at the end of each noise block."""
     chains, k = u.shape
-    rows, coord = np.arange(chains), np.arange(k)
+    rows = np.arange(chains)
+    u, lp, log_scale = u.copy(), lp.tolist(), log_scale.tolist()
     # Python's pow: numpy's vector power differs in the last bit
     gains = [(t + 1) ** -0.6 for t in range(sweeps)]
     done = 0
     for z, log_u in _noise(rngs, sweeps, k):
         n = len(z)
-        # padded by one sweep that proposes the chain's own state, which a log
-        # uniform of +inf never accepts and a gain of 0 never adapts to: a chain
-        # that has finished the block scores it until the others finish it too
-        z = np.concatenate([z, np.zeros((1, chains, k))]).swapaxes(0, 1)
-        log_u = np.concatenate([log_u, np.full((1, chains, k), np.inf)]).swapaxes(0, 1)
-        gain = np.array(gains[done : done + n] + [0.0])
-        t, j = np.zeros(chains, dtype=int), np.zeros(chains, dtype=int)  # sweep, move
-        while (t < n).any():
+        # padded by a zero step: a chain that has finished the block proposes
+        # its own state until the others finish it too
+        z = np.concatenate([z, np.zeros((1, chains, k))])
+        log_u = log_u.tolist()
+        t, j = [0] * chains, [0] * chains  # each chain's sweep and next move
+        while min(t) < n:
             proposal = np.repeat(u[:, None], k, axis=1)  # row j moves coordinate j
-            proposal[:, coord, coord] += np.exp(log_scale) * z[rows, t]
+            proposal.reshape(chains, -1)[:, :: k + 1] += np.exp(log_scale) * z[t, rows]
             lp_new = density(proposal.reshape(-1, k)).reshape(chains, k)
-            log_ratio = lp_new - lp[:, None]
-            todo = coord >= j[:, None]
-            accept = (log_u[rows, t] < log_ratio) & todo
-            last = np.where(accept.any(axis=1), accept.argmax(axis=1), k - 1)  # last move taken
-            moved = accept[rows, last]
-            alpha = np.exp(np.minimum(log_ratio, 0.0))
-            log_scale = np.where(todo & (coord <= last[:, None]),
-                                 log_scale + gain[t, None] * (alpha - target), log_scale)
-            u = np.where(moved[:, None], proposal[rows, last], u)
-            lp = np.where(moved, lp_new[rows, last], lp)
-            j = (last + 1) % k
-            t = np.minimum(t + (j == 0), n)
+            log_ratio = lp_new - np.array(lp)[:, None]
+            alpha = np.exp(np.minimum(log_ratio, 0.0)).tolist()
+            log_ratio = log_ratio.tolist()
+            for c in range(chains):
+                if t[c] == n:
+                    continue
+                gain, scale = gains[done + t[c]], log_scale[c]
+                for m in range(j[c], k):
+                    scale[m] = scale[m] + gain * (alpha[c][m] - target)
+                    if log_u[t[c]][c][m] < log_ratio[c][m]:
+                        u[c], lp[c] = proposal[c, m], lp_new[c, m]
+                        break
+                j[c] = (m + 1) % k
+                t[c] += j[c] == 0
         done += n
-    return u, lp, log_scale
+    return u, np.array(lp), np.array(log_scale)
 
 
 def _frozen_kernel(density, u, lp, step, rngs, samples, thin):
@@ -559,48 +563,45 @@ def _frozen_kernel(density, u, lp, step, rngs, samples, thin):
     next proposals as if it rejected them all.  The chain takes the first that
     its uniform accepts, or rejects them all, so its path is the one-step
     kernel's exactly.  Chains advance by different step counts and meet again
-    at the end of each noise block."""
+    at the end of each noise block.  Accept tests run on Python floats, which
+    for a few chains costs less than numpy calls."""
     chains, k = u.shape
-    rows, depth = np.arange(chains), np.arange(_PREFETCH)
-    accepted = np.zeros(chains, dtype=int)
+    depth, rows = _PREFETCH, np.arange(chains)
+    u, lp, accepted = u.copy(), lp.tolist(), [0] * chains
     kept = np.arange(1, samples + 1) * thin - 1  # the step each retained draw follows
     draws = np.empty((chains, samples, k))
     done = 0  # steps before the block
     for z, log_u in _noise(rngs, samples * thin, k):
-        n, width = len(z), len(z) + _PREFETCH
-        # chain c's steps fill rows c * width ..., padded with proposals that a
-        # log uniform of +inf never accepts; a chain that has finished the block
-        # scores those until the others finish it too
-        incr = np.zeros((chains, width, k))
+        # padded with proposals that a log uniform of +inf never accepts: a chain
+        # that has finished the block scores those until the others finish it too
+        n = len(z)
+        incr = np.zeros((chains, n + depth, k))
         incr[:, :n] = np.einsum("cij,ncj->cni", step, z)
-        incr = incr.reshape(-1, k)
-        log_u_pad = np.full((chains, width), np.inf)
-        log_u_pad[:, :n] = log_u[:, :, 0].T
-        log_u_pad = log_u_pad.ravel()
-        base = rows * width
-        pos, end = base, base + n
-        positions, states = [pos], [u]  # after each call, each chain's position and state
-        while (pos < end).any():
-            ahead = pos[:, None] + depth
-            proposal = u[:, None] + incr[ahead]
-            lp_new = density(proposal.reshape(-1, k)).reshape(ahead.shape)
-            accept = log_u_pad[ahead] < lp_new - lp[:, None]
-            first = accept.argmax(axis=1)
-            moved = accept[rows, first]
-            pos = np.minimum(pos + np.where(moved, first + 1, _PREFETCH), end)
-            u = np.where(moved[:, None], proposal[rows, first], u)
-            lp = np.where(moved, lp_new[rows, first], lp)
-            accepted += moved
+        windows = sliding_window_view(incr, depth, axis=1)  # [c, t] -> (k, depth)
+        log_u = np.concatenate([log_u[:, :, 0], np.full((depth, chains), np.inf)]).T.tolist()
+        pos = [0] * chains
+        positions, states = [pos], [u.copy()]  # after each call, each chain's position and state
+        while min(pos) < n:
+            proposal = u[:, None] + windows[rows, pos].swapaxes(1, 2)
+            lp_new = density(proposal.reshape(-1, k)).tolist()
+            pos = pos.copy()
+            for c, t in enumerate(pos):
+                for i in range(depth):
+                    if log_u[c][t + i] < lp_new[c * depth + i] - lp[c]:
+                        u[c], lp[c] = proposal[c, i], lp_new[c * depth + i]
+                        accepted[c] += 1
+                        break
+                pos[c] = min(t + i + 1, n)  # past its accepted step, or all ``depth``
             positions.append(pos)
-            states.append(u)
+            states.append(u.copy())
         # a draw is the state after the last call whose last step is not past the draw's
-        taken = np.array(positions) - base + (done - 1)  # (calls + 1, chains) last steps
+        taken = np.array(positions) + (done - 1)  # (calls + 1, chains) last steps
         states = np.array(states)
         lo, hi = np.searchsorted(kept, [done, done + n])
         for c in range(chains):
             draws[c, lo:hi] = states[np.searchsorted(taken[:, c], kept[lo:hi], side="right") - 1, c]
         done += n
-    return draws, accepted
+    return draws, np.array(accepted)
 
 
 def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> PosteriorDraws:
@@ -613,7 +614,8 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     each chain's reject path (Brockwell 2006), several moves per
     :func:`log_posterior` call, with the draws of one move per call.
     Raises :class:`FitError` if every chain is stuck after warmup (with
-    diagnostics attached) or if the draws cannot be diagnosed.
+    diagnostics attached), if a learned proposal covariance cannot be
+    factored, or if the draws cannot be diagnosed.
     """
     if config is None:
         config = FitConfig()
@@ -649,7 +651,10 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
         log_lam += (t + 1 - start) ** -0.6 * (alpha - target)
         history[:, t] = u
         if t + 1 in ends:  # estimate from all block draws so far, as adaptive Metropolis does
-            chol = np.linalg.cholesky(_regularised_cov(history[:, :t + 1]))
+            try:
+                chol = np.linalg.cholesky(_regularised_cov(history[:, :t + 1]))
+            except np.linalg.LinAlgError as err:  # a ValueError, which would read as bad input
+                raise FitError(f"cannot factor a proposal covariance: {err}") from None
             log_lam[:] = reset
             start = t + 1
 

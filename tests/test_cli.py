@@ -223,6 +223,19 @@ class TestFit:
         assert not (tmp_path / "d.csv").exists()
         assert not (tmp_path / "diag.json").exists()
 
+    def test_unfactorable_covariance_is_runtime_failure(self, workdir, tmp_path, capsys,
+                                                         monkeypatch):
+        # numpy's LinAlgError is a ValueError, which main reports as a usage error
+        monkeypatch.setattr(inference, "_regularised_cov",
+                            lambda draws: -np.eye(draws.shape[2])[None].repeat(len(draws), 0))
+        rc = main(["fit", "--data", str(workdir / "data.csv"),
+                   "--model", str(workdir / "model.json"),
+                   "--out-draws", str(tmp_path / "d.csv"),
+                   "--chains", "2", "--warmup", "80", "--samples", "20", "--seed", "0"])
+        assert rc == 1
+        assert "cannot factor a proposal covariance" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_plug_in_writes_single_row(self, workdir, tmp_path):
         out = tmp_path / "params.csv"
         assert main(["fit", "--data", str(workdir / "data.csv"),

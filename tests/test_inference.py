@@ -8,6 +8,7 @@ domination of the sampled posterior.
 
 import dataclasses
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -36,9 +37,10 @@ from ppmkit import (
     posterior_predictive,
     simulate_classification,
     simulate_dataset,
+    student_t,
     truncated_normal,
 )
-from ppmkit import inference
+from ppmkit import distributions, inference
 from ppmkit.inference import _NOISE_CHUNK, _PREFETCH, _Unconstrained, compute_diagnostics
 
 HALF_LOG_2PI = 0.9189385332046727
@@ -207,6 +209,73 @@ class TestLogPosterior:
         data = simulate_dataset(5, seed=0)
         with pytest.raises(ValueError, match="draw matrix"):
             log_posterior(model, data, np.full((2, 2, 3), 0.5))
+
+
+DEMO_KINDS = ["quadratic", "exp3", "exp2", "true_model", "michaelis_menten", "logistic",
+              "scale-trend"]
+
+
+def mixed_prior_case():
+    """(model, data) whose priors mix families and every kind of truncation."""
+    model = ModelSpec(
+        mean=MeanFunctionSpec("quadratic"),
+        variance=VarianceFunctionSpec("linear_in_mu"),
+        priors=(student_t(0.5, 2.0, 3.0), truncated_normal(0.0, 5.0, lower=0.0),
+                truncated_normal(1.0, 2.0, upper=3.0), normal(0.0, 5.0),
+                truncated_normal(0.0, 2.0, lower=-1.0, upper=2.0)),
+    )
+    return model, demo.running_example()
+
+
+def per_prior_log_posterior(model, data, rows):
+    """The likelihood plus each prior's ``log_density`` of its column, added left
+    to right; -inf where that is not finite."""
+    with np.errstate(all="ignore"):
+        mu = model.mu(rows[:, None, :], data.x)
+        family = distributions.OUTCOMES[model.family]
+        out = family.logpdf(data.y, mu, model.sigma(rows[:, None, :], mu), model.df).sum(axis=-1)
+        logprior = 0.0
+        for j, prior in enumerate(model.priors):
+            logprior = logprior + prior.log_density(rows[:, j])
+        out = out + logprior
+    return np.where(np.isfinite(out), out, -np.inf)
+
+
+class TestPriorTable:
+    @pytest.mark.parametrize("kind", DEMO_KINDS + ["student_t", "mixed"])
+    def test_equals_the_per_prior_sum(self, kind):
+        model, data = mixed_prior_case() if kind == "mixed" else density_case(kind)
+        rng = np.random.default_rng(11)
+        rows = np.column_stack([p.sample(rng, 60) for p in model.priors])
+        rows[:4, 0] = [-1.0, -1e-300, 0.0, 1e-300]  # either side of a lower bound at 0
+        rows[4:6, -1] = [-0.5, 0.0]  # a constant scale at or below 0
+        if kind == "mixed":
+            rows[6:9, 2] = [3.0, 3.0 + 1e-15, 50.0]  # at and above the upper bound
+            rows[9:12, 4] = [-1.0, -1.5, 2.5]  # at and outside the two-sided bounds
+        expected = per_prior_log_posterior(model, data, rows)
+        assert np.isfinite(expected).sum() > 40
+        np.testing.assert_array_equal(log_posterior(model, data, rows), expected)
+        for row, value in zip(rows, expected):
+            got = log_posterior(model, data, row)
+            assert isinstance(got, float) and np.array_equal(got, value)
+
+    def test_groups_columns_by_family(self):
+        table = mixed_prior_case()[0].prior_table
+        assert [(family, list(cols)) for family, cols, *_ in table.groups] == [
+            ("student_t", [0]), ("normal", [1, 2, 3, 4])]
+        np.testing.assert_array_equal(table.lower, [-np.inf, 0.0, -np.inf, -np.inf, -1.0])
+        np.testing.assert_array_equal(table.upper, [np.inf, np.inf, 3.0, np.inf, 2.0])
+        assert table.log_mass[0] == table.log_mass[3] == 0.0 and table.log_mass[1] < 0.0
+
+    @pytest.mark.parametrize("kind", DEMO_KINDS + ["mixed"])
+    def test_model_pickles_with_its_table(self, kind):
+        # report --workers sends the specs to worker processes by pickle
+        model, data = mixed_prior_case() if kind == "mixed" else density_case(kind)
+        back = pickle.loads(pickle.dumps(model))
+        assert back == model
+        rows = np.random.default_rng(3).normal(0.5, 1.0, size=(20, model.n_params))
+        np.testing.assert_array_equal(log_posterior(back, data, rows),
+                                      log_posterior(model, data, rows))
 
 
 class TestFit:
