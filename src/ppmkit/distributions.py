@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _NEG_INF = float("-inf")
@@ -95,8 +95,10 @@ OUTCOMES = {
     "student_t": Family(
         logpdf=lambda y, mu, sigma, df, log_sigma=None: student_t_logpdf(
             y, mu, sigma, df, log_sigma),
-        cdf=lambda y, mu, sigma, df: stats.t.cdf(y, df, loc=mu, scale=sigma),
-        ppf=lambda p, mu, sigma, df: stats.t.ppf(p, df, loc=mu, scale=sigma),
+        cdf=lambda y, mu, sigma, df: special.stdtr(df, (y - mu) / sigma),
+        # stdtrit(df, 0) reads +inf, so p == 0 is mapped to -inf explicitly
+        ppf=lambda p, mu, sigma, df: mu + sigma * np.where(
+            p == 0.0, -np.inf, special.stdtrit(df, p)),
         sample=lambda mu, sigma, df, rng, size: mu + sigma * rng.standard_t(df, size=size),
         has_df=True,
     ),

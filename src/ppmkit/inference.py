@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from . import distributions as dist
 from .distributions import DistributionSpec
@@ -754,6 +754,8 @@ def compute_diagnostics(draws, chain, names, acceptance=()):
     r_hat, ess, flagged = {}, {}, []
     for j, name in enumerate(names):
         col = stacked[:, :, j]
+        if not np.isfinite(col).all():
+            raise DiagnosticsError(f"parameter {name!r} has a non-finite draw")
         if np.allclose(col, col.flat[0], rtol=0.0, atol=0.0):
             raise DiagnosticsError(f"parameter {name!r} is constant across all draws")
         z = _rank_normalize(_split_chains(col))
@@ -785,10 +787,19 @@ def _split_chains(col):
 
 
 def _rank_normalize(col):
-    """Pooled fractional ranks mapped through the normal quantile function."""
+    """Pooled fractional ranks mapped through the normal quantile function
+    (Vehtari et al. 2021): tied values share their average rank, and the rank
+    r of N values maps to ``ndtri((r - 3/8) / (N + 1/4))``.  Average ranks
+    are whole numbers or halves, so they are exact in float64."""
     flat = col.reshape(-1)
-    ranks = stats.rankdata(flat, method="average")
-    z = stats.norm.ppf((ranks - 3.0 / 8.0) / (flat.size + 0.25))
+    order = np.argsort(flat, kind="stable")
+    s = flat[order]
+    first = np.concatenate(([True], s[1:] != s[:-1]))  # opens a tie group
+    dense = np.cumsum(first)  # 1-based tie group of each sorted value
+    count = np.append(np.flatnonzero(first), flat.size)  # values below each group
+    ranks = np.empty(flat.size)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    z = special.ndtri((ranks - 3.0 / 8.0) / (flat.size + 0.25))
     return z.reshape(col.shape)
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import distributions as dist
 from .inference import ModelSpec, PosteriorDraws
@@ -245,24 +245,27 @@ def classical_interval(
 ) -> PredictionInterval:
     """Textbook regression PI around the point fit, ignoring parameter
     uncertainty: center +/- t_{n-p} quantile times the unbiased residual
-    scale, with no leverage term."""
+    scale, with no leverage term.  The quantile is ``special.stdtrit``, the
+    kernel behind ``scipy.stats.t.ppf``, whose values it equals."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     center, scale, df = _classical_center_scale_df(model, theta_hat, data, x)
-    half = stats.t.ppf(0.5 + level / 2.0, df) * scale
+    half = special.stdtrit(df, 0.5 + level / 2.0) * scale
     return PredictionInterval(level=level, lower=float(center - half), upper=float(center + half))
 
 
 def classical_exceedance(
     model: ModelSpec, theta_hat, data, x: float, threshold: float, direction: str = "above"
 ) -> float:
-    """Tail probability of the classical plug-in predictive at ``x``."""
+    """Tail probability of the classical plug-in predictive at ``x``: the
+    t_{n-p} CDF by ``special.stdtr`` (``scipy.stats.t``'s kernel), of ``-z``
+    above the threshold and of ``z`` below it."""
     center, scale, df = _classical_center_scale_df(model, theta_hat, data, x)
     z = (threshold - center) / scale
     if direction == "above":
-        return float(stats.t.sf(z, df))
+        return float(special.stdtr(df, -z))
     if direction == "below":
-        return float(stats.t.cdf(z, df))
+        return float(special.stdtr(df, z))
     raise ValueError("direction must be 'above' or 'below'")
 
 

@@ -7,10 +7,15 @@ convention 0 = success, 1 = runtime failure, 2 = usage error.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ppmkit
 from ppmkit import (
     Dataset,
     DiagnosticsError,
@@ -40,6 +45,17 @@ def workdir(tmp_path_factory):
         "--seed", "1",
     ]) == 0
     return root
+
+
+def test_cold_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: this test process has scipy.stats loaded already
+    src = str(Path(ppmkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, ppmkit, ppmkit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulate:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from ppmkit import DistributionSpec, bernoulli, normal, student_t, truncated_normal
@@ -294,6 +295,58 @@ class TestFamilyTable:
                 continue
             s = sample_truncated(name, 0.0, 1.0, 3.0, -0.5, 2.0, rng, 2000)
             assert s.min() >= -0.5 and s.max() <= 2.0
+
+
+class TestStudentTMatchesScipyStats:
+    """The student_t entry calls scipy.special kernels; its values equal the
+    scipy.stats location-scale t's bit for bit."""
+
+    dfs = (0.5, 1.0, 3.0, 30.0, 1e6)
+
+    def test_cdf(self):
+        z = np.concatenate([[-np.inf, np.inf, 0.0, -0.0], np.linspace(-40.0, 40.0, 161),
+                            -np.logspace(-8.0, 300.0, 40), np.logspace(-8.0, 300.0, 40)])
+        for df in self.dfs:
+            for mu, sigma in ((0.0, 1.0), (-2.5, 0.3), (4.0, 7.0)):
+                y = mu + sigma * z
+                assert np.array_equal(OUTCOMES["student_t"].cdf(y, mu, sigma, df),
+                                      stats.t.cdf(y, df, loc=mu, scale=sigma))
+
+    def test_ppf(self):
+        tiny = np.logspace(-300.0, -1.0, 60)
+        p = np.concatenate([[0.0, 1.0, 0.5], tiny, 1.0 - tiny, np.linspace(0.01, 0.99, 99),
+                            [np.nextafter(1.0, 0.0), 5e-324]])
+        for df in self.dfs:
+            for mu, sigma in ((0.0, 1.0), (-2.5, 0.3), (4.0, 7.0)):
+                assert np.array_equal(OUTCOMES["student_t"].ppf(p, mu, sigma, df),
+                                      stats.t.ppf(p, df, loc=mu, scale=sigma), equal_nan=True)
+
+    def test_scalars(self):
+        entry = OUTCOMES["student_t"]
+        assert entry.cdf(1.3, 0.2, 2.0, 3.0) == stats.t.cdf(1.3, 3.0, loc=0.2, scale=2.0)
+        for p in (0.0, 0.9, 1.0):
+            assert entry.ppf(p, 0.2, 2.0, 3.0) == stats.t.ppf(p, 3.0, loc=0.2, scale=2.0)
+
+    @pytest.mark.parametrize("lower, upper", [(0.5, None), (None, -0.5), (-1.0, 2.0),
+                                              (3.0, 9.0), (-9.0, -3.0), (25.0, None)])
+    def test_truncated_draws(self, lower, upper):
+        mu, sigma, df = 0.3, 1.4, 4.0
+        u = np.random.default_rng(7).random(500)
+        got = sample_truncated("student_t", mu, sigma, df, lower, upper,
+                               np.random.default_rng(7), 500)
+        # the same inverse-CDF draw from scipy.stats, mirrored through mu above it
+        lo = -np.inf if lower is None else lower
+        hi = np.inf if upper is None else upper
+        t = stats.t(df, loc=mu, scale=sigma)
+        if lo > mu:
+            u = 1.0 - u
+            lo_m, hi_m = mu + (mu - hi), mu + (mu - lo)
+            f_lo = t.cdf(lo_m)
+            y = mu + (mu - t.ppf(u * (t.cdf(hi_m) - f_lo) + f_lo))
+        else:
+            f_lo = t.cdf(lo)
+            y = t.ppf(u * (t.cdf(hi) - f_lo) + f_lo)
+        assert np.array_equal(got, np.clip(y, lo, hi))
 
 
 # Intervals from deep in the lower tail to deep in the upper tail, in scales

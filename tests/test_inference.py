@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from ppmkit import (
     Dataset,
@@ -759,6 +760,30 @@ class TestDiagnostics:
         chains = np.ones((2, 100, 1))
         with pytest.raises(DiagnosticsError):
             diagnostics(self._draws_from_chains(chains))
+
+    def test_non_finite_draw_error(self):
+        chains = np.random.default_rng(5).standard_normal((4, 100, 1))
+        chains[1, 7, 0] = np.nan
+        with pytest.raises(DiagnosticsError, match="non-finite"):
+            diagnostics(self._draws_from_chains(chains))
+
+    @pytest.mark.parametrize("case", ["no_ties", "heavy_ties", "all_but_one_tied"])
+    def test_rank_normalize_equals_scipy_stats(self, case):
+        # numpy average ranks and special.ndtri equal scipy.stats' rankdata and norm.ppf
+        chains, samples = 4, 1000
+        rng = np.random.default_rng(11)
+        col = rng.standard_normal((chains, samples))
+        if case == "heavy_ties":
+            col = np.round(col, 1)
+        elif case == "all_but_one_tied":
+            col = np.full((chains, samples), 0.25)
+            col[2, 17] = -3.0
+        split = inference._split_chains(col)
+        assert split.shape == (2 * chains, samples // 2)
+        flat = split.reshape(-1)
+        ref = stats.norm.ppf((stats.rankdata(flat, method="average") - 3.0 / 8.0)
+                             / (flat.size + 0.25)).reshape(split.shape)
+        assert np.array_equal(inference._rank_normalize(split), ref)
 
     def test_single_chain_error(self):
         rng = np.random.default_rng(3)

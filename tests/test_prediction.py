@@ -328,6 +328,29 @@ class TestClassicalInterval:
             0.025, abs=1e-10
         )
 
+    def test_equal_to_scipy_stats_t(self):
+        # the helpers call scipy.special kernels; the values equal scipy.stats' bit for bit
+        model = ModelSpec(mean=MeanFunctionSpec("linear"),
+                          variance=VarianceFunctionSpec("constant"))
+        theta = np.array([0.2, 1.0, 0.1])
+        for n in (3, 4, 12, 200):
+            data = simulate_dataset(n, seed=n)
+            df = n - 2
+            fitted = model.mu(theta, data.x)
+            scale = math.sqrt(float(np.sum((data.y - fitted) ** 2)) / df)
+            for x in (-0.3, 0.4, 2.0):
+                center = model.mu(theta, x)
+                for level in (1e-6, 0.5, 0.9, 0.95, 0.999999):
+                    iv = classical_interval(model, theta, data, x, level)
+                    half = stats.t.ppf(0.5 + level / 2.0, df) * scale
+                    assert (iv.lower, iv.upper) == (float(center - half), float(center + half))
+                for threshold in (-np.inf, -50.0, -1.0, center, 0.7, 3.0, 1e3, np.inf):
+                    z = (threshold - center) / scale
+                    above = classical_exceedance(model, theta, data, x, threshold, "above")
+                    below = classical_exceedance(model, theta, data, x, threshold, "below")
+                    assert above == float(stats.t.sf(z, df))
+                    assert below == float(stats.t.cdf(z, df))
+
     def test_requires_constant_scale_normal(self):
         model = ModelSpec(mean=MeanFunctionSpec("linear", n_features=2),
                           family="bernoulli", mean_link="logit")
