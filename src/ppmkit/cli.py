@@ -326,6 +326,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_report(args) -> int:
     """Run the whole demo pipeline into one directory of plot-ready files."""
+    for flag, value in (("--m-datasets", args.m_datasets), ("--workers", args.workers)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out_dir)
     seed = args.seed
     level = 0.95

@@ -84,11 +84,7 @@ class MeanFunctionSpec:
 
     @property
     def parameter_count(self) -> int:
-        if self.form == "linear":
-            return 1 + self.n_features
-        return {"quadratic": 3, "exp2": 2, "exp3": 3, "michaelis_menten": 2, "true_model": 2}[
-            self.form
-        ]
+        return len(self.parameter_names)
 
     @property
     def parameter_names(self) -> tuple[str, ...]:

@@ -8,14 +8,14 @@ the best of several prior draws.  The first half of warmup sweeps the
 parameters one at a time with adaptive scales; the second half makes block
 moves whose covariance each chain learns in doubling windows and whose
 scale is tuned toward a target acceptance rate.  That kernel is then
-frozen, so retained draws come from a fixed kernel.  The block moves of
-warmup step the chains in lockstep, one :func:`log_posterior` call scoring
-every chain's proposal.  The sweeps and the retained steps are prefetched:
-one call scores each chain's next moves as if it rejected them all (the
-rest of its sweep, or its next ``_PREFETCH`` steps), and the chain takes
-them up to its first accepted one, so the draws are those of one move per
-call and chains advance at their own pace; those accept tests run on Python
-floats.  :func:`log_posterior` scores the priors from the table that a
+frozen, so retained draws come from a fixed kernel.  Every phase runs one
+prefetched kernel, :func:`_metropolis`: one :func:`log_posterior` call
+scores each chain's next ``_PREFETCH`` moves as if it rejected them all,
+and the chain takes them up to its first accepted one, so the draws are
+those of one move per call and chains advance at their own pace; the
+accept tests run on Python floats.  The kernel stays fixed within a run,
+so warmup adapts its scales between runs of ``_RUN`` sweeps or steps.
+:func:`log_posterior` scores the priors from the table that a
 :class:`ModelSpec` builds once, one kernel call per prior family.  Chain
 ``c`` draws only from ``Generator(master_seed + c)``, so its draws do not
 depend on the other chains.  ``fit`` diagnoses the (chains, samples,
@@ -226,8 +226,9 @@ class FitConfig:
     block steps per retained draw, which buys effective sample size on
     strongly correlated posteriors without changing the retained draw
     count.  ``init_scale`` is each parameter's starting proposal scale on
-    the unconstrained space, and ``target_accept`` the acceptance rate
-    every proposal scale is tuned toward.
+    the unconstrained space, and ``target_accept`` the mean acceptance
+    probability every proposal scale is tuned toward, between runs of a
+    few sweeps or block steps.
     """
 
     chains: int = 4
@@ -450,40 +451,72 @@ def _init_from_priors(model: ModelSpec, data: Dataset, rngs, candidates=1):
 # started from one prior draw and 17 when each started from the best of 32.
 _INIT_CANDIDATES = 32
 
-_NOISE_CHUNK = 1024  # steps of noise each generator draws at a time
+_NOISE_CHUNK = 1024  # retained steps of noise each generator draws at a time
 
-# Retained steps each chain scores per density call: its next proposals along the
-# path on which it rejects them all.
+# Sweeps of an exploration run, or steps of a block-adaptation run: the proposal
+# scales stay fixed within a run, which prefetching needs, and adapt between runs.
+_RUN = 10
+
+# Steps each chain scores per density call: its next proposals along the path on
+# which it rejects them all.
 _PREFETCH = 4
 
 
-def _noise(rngs, steps, k):
-    """Blocks of at most ``_NOISE_CHUNK`` steps of the chains' standard normals
-    and log uniforms, each (block steps, chains, k) (a block step uses the first
-    uniform only); chain ``c``'s come from ``rngs[c]`` alone."""
-    for start in range(0, steps, _NOISE_CHUNK):
-        n = min(_NOISE_CHUNK, steps - start)
-        z = np.stack([rng.standard_normal((n, k)) for rng in rngs], axis=1)
-        log_u = np.log(np.stack([rng.random((n, k)) for rng in rngs], axis=1))
-        yield z, log_u
+def _noise(rngs, steps, width):
+    """Each chain's ``steps`` rows of ``width`` standard normals and its ``steps``
+    log uniforms, (chains, steps, width) and (chains, steps); chain ``c``'s come
+    from ``rngs[c]`` alone."""
+    z = np.stack([rng.standard_normal((steps, width)) for rng in rngs])
+    log_u = np.log(np.stack([rng.random(steps) for rng in rngs]))
+    return z, log_u
 
 
-def _noise_steps(rngs, steps, k):
-    """Per step, the (chains, k) normals and log uniforms of :func:`_noise`."""
-    for z, log_u in _noise(rngs, steps, k):
-        yield from zip(z, log_u)
+def _metropolis(density, u, lp, incr, log_u):
+    """Run each chain (row of ``u``, log density ``lp``) through the steps of
+    ``incr`` (chains, n, k): step ``t`` of chain ``c`` proposes the chain's state
+    plus ``incr[c, t]`` and moves there when ``log_u[c, t]`` is below the log
+    density ratio.  Returns the state after every step, (chains, n, k), each
+    step's acceptance probability ``min(1, ratio)``, (chains, n), and each
+    chain's accepted count and final log density.
 
-
-def _metropolis(density, u, lp, proposal, log_u):
-    """Move each chain (row of ``u``, updated in place with ``lp``) to its
-    proposal row when ``log_u`` is below the log density ratio; returns each
-    row's acceptance probability."""
-    lp_new = density(proposal)
-    log_ratio = lp_new - lp
-    accept = log_u < log_ratio
-    u[accept] = proposal[accept]
-    lp[accept] = lp_new[accept]
-    return np.exp(np.minimum(log_ratio, 0.0))
+    One ``density`` call scores each chain's next ``_PREFETCH`` proposals as if
+    it rejected them all.  The chain takes the first that its uniform accepts,
+    or rejects them all, so its path is the one-step kernel's exactly.  Chains
+    advance by different step counts and meet again at the end.  Accept tests
+    run on Python floats, which for a few chains costs less than numpy calls."""
+    chains, n, k = incr.shape
+    depth, rows = _PREFETCH, np.arange(chains)
+    # padded with zero steps, which are never scored, so that a window starts
+    # at every step and at the end
+    padded = np.concatenate([incr, np.zeros((chains, depth, k))], axis=1)
+    windows = sliding_window_view(padded, depth, axis=1)  # [c, t] -> (k, depth)
+    moved = [[] for _ in rows]  # per step, whether the chain accepted it
+    log_ratios = [[] for _ in rows]
+    start, u, lp, log_u, pos = u, u.copy(), lp.tolist(), log_u.tolist(), [0] * chains
+    while min(pos) < n:
+        proposal = (u[:, None] + windows[rows, pos].swapaxes(1, 2)).reshape(-1, k)
+        ahead = [min(depth, n - t) for t in pos]  # each chain's steps left to score
+        if min(ahead) < depth:  # near the end: score no step past it
+            proposal = proposal[(np.arange(depth) < np.array(ahead)[:, None]).ravel()]
+        lp_new = density(proposal).tolist()
+        first = 0  # the chain's first row in lp_new
+        for c, t in enumerate(pos):
+            for i in range(ahead[c]):
+                log_ratio = lp_new[first + i] - lp[c]
+                log_ratios[c].append(log_ratio)
+                accept = log_u[c][t + i] < log_ratio
+                moved[c].append(accept)
+                if accept:
+                    u[c], lp[c] = proposal[first + i], lp_new[first + i]
+                    break
+            pos[c] = len(moved[c])
+            first += ahead[c]
+    # a chain's states are its start and the running sums of its accepted
+    # increments, the very additions it made; each step indexes the last of them
+    moved = np.array(moved)
+    path = np.stack([np.cumsum(np.concatenate([s[None], d[m]]), axis=0)[np.cumsum(m)]
+                     for s, d, m in zip(start, incr, moved)])
+    return path, np.exp(np.minimum(log_ratios, 0.0)), moved.sum(axis=1), np.array(lp)
 
 
 _FIRST_WINDOW = 25  # block steps in the first covariance window; each next one doubles
@@ -509,110 +542,15 @@ def _regularised_cov(draws):
     return n / (n + 5.0) * cov + 1e-3 * 5.0 / (n + 5.0) * np.eye(k)
 
 
-def _explore(density, u, lp, log_scale, rngs, sweeps, target):
-    """Run each chain (row of ``u``, log density ``lp``) ``sweeps`` sweeps of
-    one-coordinate moves; returns the chains' ``u``, ``lp`` and ``log_scale``.
-
-    Move ``j`` of sweep ``t`` proposes ``u_j + exp(log_scale_j) z_j`` and then
-    moves ``log_scale_j`` by ``(t + 1) ** -0.6 (alpha - target)``, ``alpha``
-    its acceptance probability.  No scale changes until its own move, so one
-    ``density`` call scores the rest of a chain's sweep as if it rejected every
-    move; the chain takes moves up to its first accepted one.  Chains advance
-    by different move counts and meet again at the end of each noise block."""
-    chains, k = u.shape
-    rows = np.arange(chains)
-    u, lp, log_scale = u.copy(), lp.tolist(), log_scale.tolist()
-    # Python's pow: numpy's vector power differs in the last bit
-    gains = [(t + 1) ** -0.6 for t in range(sweeps)]
-    done = 0
-    for z, log_u in _noise(rngs, sweeps, k):
-        n = len(z)
-        # padded by a zero step: a chain that has finished the block proposes
-        # its own state until the others finish it too
-        z = np.concatenate([z, np.zeros((1, chains, k))])
-        log_u = log_u.tolist()
-        t, j = [0] * chains, [0] * chains  # each chain's sweep and next move
-        while min(t) < n:
-            proposal = np.repeat(u[:, None], k, axis=1)  # row j moves coordinate j
-            proposal.reshape(chains, -1)[:, :: k + 1] += np.exp(log_scale) * z[t, rows]
-            lp_new = density(proposal.reshape(-1, k)).reshape(chains, k)
-            log_ratio = lp_new - np.array(lp)[:, None]
-            alpha = np.exp(np.minimum(log_ratio, 0.0)).tolist()
-            log_ratio = log_ratio.tolist()
-            for c in range(chains):
-                if t[c] == n:
-                    continue
-                gain, scale = gains[done + t[c]], log_scale[c]
-                for m in range(j[c], k):
-                    scale[m] = scale[m] + gain * (alpha[c][m] - target)
-                    if log_u[t[c]][c][m] < log_ratio[c][m]:
-                        u[c], lp[c] = proposal[c, m], lp_new[c, m]
-                        break
-                j[c] = (m + 1) % k
-                t[c] += j[c] == 0
-        done += n
-    return u, np.array(lp), np.array(log_scale)
-
-
-def _frozen_kernel(density, u, lp, step, rngs, samples, thin):
-    """Run each chain (row of ``u``, log density ``lp``) ``samples * thin`` steps of
-    the block kernel whose proposal is ``u + step[c] @ z``; returns the state after
-    every ``thin``-th step, (chains, samples, k), and each chain's accepted count.
-
-    One ``density`` call scores ``_PREFETCH`` proposals per chain: the chain's
-    next proposals as if it rejected them all.  The chain takes the first that
-    its uniform accepts, or rejects them all, so its path is the one-step
-    kernel's exactly.  Chains advance by different step counts and meet again
-    at the end of each noise block.  Accept tests run on Python floats, which
-    for a few chains costs less than numpy calls."""
-    chains, k = u.shape
-    depth, rows = _PREFETCH, np.arange(chains)
-    u, lp, accepted = u.copy(), lp.tolist(), [0] * chains
-    kept = np.arange(1, samples + 1) * thin - 1  # the step each retained draw follows
-    draws = np.empty((chains, samples, k))
-    done = 0  # steps before the block
-    for z, log_u in _noise(rngs, samples * thin, k):
-        # padded with proposals that a log uniform of +inf never accepts: a chain
-        # that has finished the block scores those until the others finish it too
-        n = len(z)
-        incr = np.zeros((chains, n + depth, k))
-        incr[:, :n] = np.einsum("cij,ncj->cni", step, z)
-        windows = sliding_window_view(incr, depth, axis=1)  # [c, t] -> (k, depth)
-        log_u = np.concatenate([log_u[:, :, 0], np.full((depth, chains), np.inf)]).T.tolist()
-        pos = [0] * chains
-        positions, states = [pos], [u.copy()]  # after each call, each chain's position and state
-        while min(pos) < n:
-            proposal = u[:, None] + windows[rows, pos].swapaxes(1, 2)
-            lp_new = density(proposal.reshape(-1, k)).tolist()
-            pos = pos.copy()
-            for c, t in enumerate(pos):
-                for i in range(depth):
-                    if log_u[c][t + i] < lp_new[c * depth + i] - lp[c]:
-                        u[c], lp[c] = proposal[c, i], lp_new[c * depth + i]
-                        accepted[c] += 1
-                        break
-                pos[c] = min(t + i + 1, n)  # past its accepted step, or all ``depth``
-            positions.append(pos)
-            states.append(u.copy())
-        # a draw is the state after the last call whose last step is not past the draw's
-        taken = np.array(positions) + (done - 1)  # (calls + 1, chains) last steps
-        states = np.array(states)
-        lo, hi = np.searchsorted(kept, [done, done + n])
-        for c in range(chains):
-            draws[c, lo:hi] = states[np.searchsorted(taken[:, c], kept[lo:hi], side="right") - 1, c]
-        done += n
-    return draws, np.array(accepted)
-
-
 def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> PosteriorDraws:
     """Sample the posterior over all model parameters.
 
     The sampler is the module's adaptive Metropolis on the parameterisation
     of :class:`_Unconstrained`: block moves as in Haario, Saksman and
-    Tamminen (2001), their scale tuned as in Roberts and Rosenthal (2009).
-    The sweeps and the frozen kernel's retained steps are prefetched along
-    each chain's reject path (Brockwell 2006), several moves per
-    :func:`log_posterior` call, with the draws of one move per call.
+    Tamminen (2001), their covariance estimated from each doubling window's
+    own draws as in Stan, their scale tuned as in Roberts and Rosenthal
+    (2009).  Every phase runs :func:`_metropolis`, prefetched along each
+    chain's reject path (Brockwell 2006); warmup adapts between its runs.
     Raises :class:`FitError` if every chain is stuck after warmup (with
     diagnostics attached), if a learned proposal covariance cannot be
     factored, or if the draws cannot be diagnosed.
@@ -634,37 +572,56 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     k = model.n_params
     target = config.target_accept
 
-    # exploration: one coordinate at a time, each with its own adaptive scale
-    explore = config.warmup // 2
+    # exploration: sweeps of one-coordinate moves, each coordinate with its own scale
+    sweeps = config.warmup // 2
     log_scale = np.full((config.chains, k), math.log(config.init_scale))
-    u, lp, log_scale = _explore(density, u, lp, log_scale, rngs, explore, target)
+    one_hot = np.tile(np.eye(k), (_RUN, 1))  # step t moves coordinate t % k
+    for first in range(0, sweeps, _RUN):
+        n = min(_RUN, sweeps - first)
+        z, log_u = _noise(rngs, n * k, 1)
+        incr = np.tile(np.exp(log_scale), n)[:, :, None] * z * one_hot[: n * k]
+        path, alpha, _, lp = _metropolis(density, u, lp, incr, log_u)
+        u = path[:, -1]
+        gain = sum((t + 1) ** -0.6 for t in range(first, first + n))
+        log_scale += gain * (alpha.reshape(-1, n, k).mean(axis=1) - target)
 
-    # adaptation: block moves, starting from the exploration scales
+    # adaptation: block moves, starting from the exploration scales, in doubling
+    # windows; each window's scale adaptation starts afresh
     chol = np.exp(log_scale)[:, None, :] * np.eye(k)  # Cholesky factor of each covariance
     reset = math.log(2.38 / math.sqrt(k))
-    log_lam = np.full(config.chains, reset)
-    history = np.empty((config.chains, config.warmup - explore, k))
-    ends, start = _window_ends(history.shape[1]), 0
-    for t, (z, log_u) in enumerate(_noise_steps(rngs, history.shape[1], k)):
-        proposal = u + np.exp(log_lam)[:, None] * np.einsum("cij,cj->ci", chol, z)
-        alpha = _metropolis(density, u, lp, proposal, log_u[:, 0])
-        log_lam += (t + 1 - start) ** -0.6 * (alpha - target)
-        history[:, t] = u
-        if t + 1 in ends:  # estimate from all block draws so far, as adaptive Metropolis does
+    history = np.empty((config.chains, config.warmup - sweeps, k))
+    ends = _window_ends(history.shape[1])
+    for start, end in zip([0, *ends], [*ends, history.shape[1]]):
+        log_lam = np.full(config.chains, reset)
+        for first in range(start, end, _RUN):
+            stop = min(first + _RUN, end)
+            z, log_u = _noise(rngs, stop - first, k)
+            incr = np.exp(log_lam)[:, None, None] * np.einsum("cij,cnj->cni", chol, z)
+            history[:, first:stop], alpha, _, lp = _metropolis(density, u, lp, incr, log_u)
+            u = history[:, stop - 1]
+            gain = sum((t + 1) ** -0.6 for t in range(first - start, stop - start))
+            log_lam += gain * (alpha.mean(axis=1) - target)
+        if end in ends:  # estimate from the window's own draws, as Stan does
             try:
-                chol = np.linalg.cholesky(_regularised_cov(history[:, :t + 1]))
+                chol = np.linalg.cholesky(_regularised_cov(history[:, start:end]))
             except np.linalg.LinAlgError as err:  # a ValueError, which would read as bad input
                 raise FitError(f"cannot factor a proposal covariance: {err}") from None
-            log_lam[:] = reset
-            start = t + 1
 
-    # sampling: the frozen kernel, prefetched
-    draws, accepted = _frozen_kernel(density, u, lp, np.exp(log_lam)[:, None, None] * chol,
-                                     rngs, config.samples, config.thin)
+    # sampling: the frozen kernel, keeping every thin-th state
+    step = np.exp(log_lam)[:, None, None] * chol
+    steps, thin = config.samples * config.thin, config.thin
+    kept, accepted = [], 0
+    for first in range(0, steps, _NOISE_CHUNK):
+        z, log_u = _noise(rngs, min(_NOISE_CHUNK, steps - first), k)
+        incr = np.einsum("cij,cnj->cni", step, z)
+        path, _, count, lp = _metropolis(density, u, lp, incr, log_u)
+        kept.append(path[:, (thin - 1 - first) % thin :: thin])
+        u, accepted = path[:, -1], accepted + count
+    draws = np.concatenate(kept, axis=1)
     stacked = density.constrain(draws.reshape(-1, k))[0].reshape(draws.shape)
 
     names = model.parameter_names
-    acceptance = tuple((accepted / (config.samples * config.thin)).tolist())
+    acceptance = tuple((accepted / steps).tolist())
     if not any(acceptance):
         nan = dict.fromkeys(names, float("nan"))
         diag = Diagnostics(r_hat=nan, ess=nan, acceptance=acceptance, flagged=names)

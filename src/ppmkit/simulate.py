@@ -70,7 +70,7 @@ class Dataset:
     ``x`` is (n,) for single-feature problems, also when given as one
     column (n, 1), or (n, d) for feature vectors; ``x_se``/``y_se``, when
     present, match the shapes of ``x`` and ``y`` and must be nonnegative
-    (zero means exactly known).
+    (zero means exactly known).  Every value must be finite.
     """
 
     x: np.ndarray
@@ -88,6 +88,10 @@ class Dataset:
             raise ValueError("x and y must have the same number of rows")
         if self.y.ndim != 1:
             raise ValueError("y must be one-dimensional")
+        for name in ("x", "y", "x_se", "y_se"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"{name} has a non-finite value")
         for name in ("x_se", "y_se"):
             se = getattr(self, name)
             if se is None:
@@ -204,6 +208,8 @@ def simulate_classification(
     if n < 2:
         raise ValueError("n must be >= 2")
     t0, t1, t2 = (float(c) for c in coefficients)
+    if not np.isfinite([t0, t1, t2]).all():
+        raise ValueError("classification coefficients have a non-finite value")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-3.0, 3.0, (n, 2))
     p = expit(t0 + t1 * x[:, 0] + t2 * x[:, 1])

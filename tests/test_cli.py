@@ -83,6 +83,14 @@ class TestSimulate:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["--theta1", "nan"], ["--sigma", "inf"],
+                                       ["--theta2=-inf"],
+                                       ["--classification", "--coef", "0.4,nan,1"]])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["simulate", *flags, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_classification_output(self, tmp_path):
         out = tmp_path / "cls.csv"
         assert main(["simulate", "--classification", "--n", "40",
@@ -469,6 +477,14 @@ class TestReport:
         for rel in manifest["artifacts"]:
             assert (out / rel).is_file()
         assert manifest["run_config"]["seed"] == 9
+
+    @pytest.mark.parametrize("flags", [["--m-datasets", "0"], ["--workers", "-3"],
+                                       ["--workers", "0"]])
+    def test_bad_count_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "rep"
+        assert main(["report", "--out-dir", str(out), "--fast", *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]} must be >= 1")
+        assert not out.exists()
 
     def test_width_table_matches_prediction_intervals(self, tmp_path):
         out = tmp_path / "rep"

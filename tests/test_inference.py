@@ -460,52 +460,44 @@ class TestPrefetch:
 
     @pytest.mark.parametrize("thin", [1, 3])
     def test_kernel_replays_the_one_step_loop(self, thin):
-        # the one-step Metropolis loop written out, on a correlated Gaussian
+        # the one-step Metropolis loop written out, on a correlated Gaussian, over
+        # runs of block increments and of one-coordinate increments
         def density(u):
             return -0.5 * np.sum(u * u, axis=1) + 0.8 * u[:, 0] * u[:, 1]
 
-        rngs = lambda: [np.random.default_rng(20 + c) for c in range(3)]  # noqa: E731
-        step = np.random.default_rng(1).normal(0.0, 0.7, size=(3, 2, 2))
-        start = np.random.default_rng(2).normal(size=(3, 2))
-        samples = 2 * _NOISE_CHUNK // thin + 5
+        rng = np.random.default_rng(thin)
+        block = np.einsum("cij,cnj->cni", rng.normal(0.0, 0.7, size=(3, 2, 2)),
+                          rng.normal(size=(3, 41 * thin, 2)))
+        one_coordinate = rng.normal(0.0, 1.5, size=(3, 30 * thin, 1)) * np.tile(np.eye(2),
+                                                                              (15 * thin, 1))
+        runs = [(incr, np.log(rng.random(incr.shape[:2])))
+                for incr in (block, one_coordinate, block[:, :7], one_coordinate[:, :5])]
+        start = rng.normal(size=(3, 2))
         u, lp = start.copy(), density(start)
-        expected, accepted = [], np.zeros(3)
-        for t, (z, log_u) in enumerate(inference._noise_steps(rngs(), samples * thin, 2)):
-            proposal = u + np.einsum("cij,cj->ci", step, z)
-            lp_new = density(proposal)
-            accept = log_u[:, 0] < lp_new - lp
-            u[accept], lp[accept] = proposal[accept], lp_new[accept]
-            accepted += accept
-            if (t + 1) % thin == 0:
-                expected.append(u.copy())
-        draws, count = inference._frozen_kernel(density, start, density(start), step, rngs(),
-                                                samples, thin)
-        np.testing.assert_array_equal(draws, np.stack(expected, axis=1))
-        np.testing.assert_array_equal(count, accepted)
-        assert 0 < count.min() and count.max() < samples * thin
-
-    def test_exploration_replays_the_sweep_loop(self):
-        # the sweep written out, one density call per coordinate move
-        def density(u):
-            return -0.5 * np.sum(u * u, axis=1) + 0.6 * u[:, 0] * u[:, 2]
-
-        rngs = lambda: [np.random.default_rng(40 + c) for c in range(3)]  # noqa: E731
-        start = np.random.default_rng(3).normal(size=(3, 3))
-        sweeps = _NOISE_CHUNK + 70
-        u, lp, log_scale = start.copy(), density(start), np.full((3, 3), math.log(5.0))
-        for t, (z, log_u) in enumerate(inference._noise_steps(rngs(), sweeps, 3)):
-            for j in range(3):
-                proposal = u.copy()
-                proposal[:, j] += np.exp(log_scale[:, j]) * z[:, j]
+        expected, alphas, accepted = [], [], np.zeros(3)
+        for incr, log_u in runs:
+            for t in range(incr.shape[1]):
+                proposal = u + incr[:, t]
                 lp_new = density(proposal)
                 log_ratio = lp_new - lp
-                accept = log_u[:, j] < log_ratio
+                alphas.append(np.exp(np.minimum(log_ratio, 0.0)))
+                accept = log_u[:, t] < log_ratio
                 u[accept], lp[accept] = proposal[accept], lp_new[accept]
-                log_scale[:, j] += (t + 1) ** -0.6 * (np.exp(np.minimum(log_ratio, 0.0)) - 0.3)
-        got = inference._explore(density, start, density(start), np.full((3, 3), math.log(5.0)),
-                                 rngs(), sweeps, 0.3)
-        for actual, expected in zip(got, (u, lp, log_scale)):
-            np.testing.assert_array_equal(actual, expected)
+                accepted += accept
+                expected.append(u.copy())
+        paths, alpha, count, state = [], [], 0, (start, density(start))
+        for incr, log_u in runs:
+            path, run_alpha, run_count, run_lp = inference._metropolis(density, *state, incr, log_u)
+            paths.append(path)
+            alpha.append(run_alpha)
+            count = count + run_count
+            state = path[:, -1], run_lp
+        kept = np.concatenate(paths, axis=1)[:, thin - 1 :: thin]
+        np.testing.assert_array_equal(kept, np.stack(expected, axis=1)[:, thin - 1 :: thin])
+        np.testing.assert_array_equal(np.concatenate(alpha, axis=1), np.transpose(alphas))
+        np.testing.assert_array_equal(count, accepted)
+        np.testing.assert_array_equal(state[1], lp)
+        assert 0 < count.min() and count.max() < len(expected)
 
     def test_depth_keeps_the_stuck_fit_error(self, monkeypatch):
         data = simulate_dataset(20, seed=1)

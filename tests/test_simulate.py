@@ -45,6 +45,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(x=np.arange(3.0), y=np.arange(3.0), y_se=np.array([0.1, 0.1]))
 
+    @pytest.mark.parametrize("column", ["x", "y", "x_se", "y_se"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, column, bad):
+        values = {name: np.full(3, 0.5) for name in ("x", "y", "x_se", "y_se")}
+        values[column][1] = bad
+        with pytest.raises(ValueError, match=f"{column} has a non-finite value"):
+            Dataset(**values)
+
     def test_arrays_are_immutable(self):
         d = simulate_dataset(10, seed=0)
         with pytest.raises(ValueError):
