@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -112,12 +113,20 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _finite(flag: str, value) -> float:
+    """``value`` (a number or its text) as a float, refused unless finite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise UsageError(f"{flag} must be a finite number, got {value}")
+    return number
+
+
+def _parse_grid(text: str, flag: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        grid = np.linspace(_finite(flag, start), _finite(flag, stop), int(count))
     except ValueError as err:
-        raise UsageError(f"grid must look like start:stop:count, got {text!r}") from err
+        raise UsageError(f"{flag} must look like start:stop:count, got {text!r}") from err
     if grid.size < 1:
         raise UsageError("grid must contain at least one point")
     return grid
@@ -212,6 +221,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    for flag, value in (("--threshold", args.threshold), ("--x-se", args.x_se),
+                        ("--truncate-lower", args.truncate_lower),
+                        ("--truncate-upper", args.truncate_upper)):
+        if value is not None:
+            _finite(flag, value)
     draw_paths = [_require_file(p, "draws file") for p in args.draws]
     model_paths = [_require_file(p, "model spec") for p in args.model]
     models = [ModelSpec.load(p) for p in model_paths]
@@ -230,9 +244,9 @@ def cmd_predict(args) -> int:
             )
 
     if args.grid is not None:
-        queries = _parse_grid(args.grid)
+        queries = _parse_grid(args.grid, "--grid")
     elif args.x:
-        queries = np.asarray(args.x, dtype=float)
+        queries = np.asarray([_finite("--x", x) for x in args.x])
     else:
         raise UsageError("supply --x or --grid")
     if args.out_widths and len(queries) < 2:
@@ -301,11 +315,11 @@ def cmd_decompose(args) -> int:
     draws = PosteriorDraws.from_csv(_require_file(args.draws, "draws file"))
     band = None  # computed before any file is written, so a bad grid leaves none behind
     if args.boundary_grid:
-        band = decision_boundary_band(draws, model, _parse_grid(args.boundary_grid),
-                                      level=args.level)
+        grid = _parse_grid(args.boundary_grid, "--boundary-grid")
+        band = decision_boundary_band(draws, model, grid, level=args.level)
     results = []
     for text in args.x:
-        features = [float(v) for v in text.split(",")]
+        features = [_finite("--x", v) for v in text.split(",")]
         p_draws, y_pred = classify_predictive(model, draws, features)
         out = decompose_uncertainty(p_draws)
         results.append({"x": features, "y_predictive": y_pred, **out.to_json()})

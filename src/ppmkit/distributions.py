@@ -145,9 +145,20 @@ def _truncate(entry, mu, sigma, df, lower, upper):
     if np.any(flip):
         a, b = np.where(flip, mu + (mu - hi), lo), np.where(flip, mu + (mu - lo), hi)
     f_lo = entry.cdf(a, mu, sigma, df)
-    mass = entry.cdf(b, mu, sigma, df) - f_lo
+    f_hi = entry.cdf(b, mu, sigma, df)
+    mass = f_hi - f_lo
     if np.any(mass <= 0.0):
         raise ValueError("truncation interval carries no probability mass")
+    # an interval below mu draws from the ppf's lower tail, which fails far out
+    # (stdtrit reads +inf, or half the quantile, below p ~ 1e-160 at df=3): the
+    # ppf must give back the interval's inner end b
+    below = np.broadcast_to(b < mu, np.shape(f_hi))
+    if below.any():
+        z = np.broadcast_to((b - mu) / sigma, below.shape)[below]
+        q = entry.ppf(np.asarray(f_hi)[below], 0.0, 1.0, df)
+        if not np.isclose(q, z, rtol=1e-6, atol=1e-6).all():
+            raise ValueError("truncation interval lies too deep in the tail "
+                             "for the inverse CDF to reach")
     return lo, hi, flip, f_lo, mass
 
 

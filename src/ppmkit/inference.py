@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import optimize, special
+from scipy import special
 
 from . import distributions as dist
 from .distributions import DistributionSpec
@@ -669,6 +669,10 @@ def plug_in_fit(model: ModelSpec, data: Dataset, seed: int = 0) -> np.ndarray:
     gradient scores all of its points in one draw-matrix call.  Deterministic
     for a given seed.
     """
+    # imported here, its one use: scipy.optimize (with scipy.linalg and
+    # scipy.sparse) adds about a third to every command's cold start
+    from scipy import optimize
+
     rng = np.random.default_rng(seed)
     bounds = [(p.lower, p.upper) for p in model.priors]
 

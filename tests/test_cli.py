@@ -47,15 +47,30 @@ def workdir(tmp_path_factory):
     return root
 
 
-def test_cold_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter: this test process has scipy.stats loaded already
+def _fresh_python(code):
+    """stdout of ``code`` in a fresh interpreter: this test process has
+    scipy.stats and scipy.optimize loaded already."""
     src = str(Path(ppmkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, ppmkit, ppmkit.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cold_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, ppmkit, ppmkit.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
+    assert _fresh_python(code) == "False False"
+
+
+def test_plug_in_fit_loads_scipy_optimize_on_first_use():
+    code = ("import sys, ppmkit; from ppmkit import demo; "
+            "model, data = demo.regression_model('true_model'), demo.simulate_dataset(40, seed=4); "
+            "before = 'scipy.optimize' in sys.modules; "
+            "theta = ppmkit.plug_in_fit(model, data, seed=0); "
+            "print(before, 'scipy.optimize' in sys.modules, theta.shape)")
+    assert _fresh_python(code) == "False True (3,)"
 
 
 class TestSimulate:
@@ -404,6 +419,22 @@ class TestPredict:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, flags", [
+        ("--x", ["--x", "nan"]),
+        ("--grid", ["--grid", "0:inf:3"]),
+        ("--x-se", ["--x", "0.5", "--x-se", "nan"]),
+        ("--threshold", ["--x", "0.5", "--threshold", "nan"]),
+        ("--truncate-lower", ["--x", "0.5", "--truncate-lower", "nan"]),
+        ("--truncate-upper", ["--x", "0.5", "--truncate-upper=-inf"]),
+    ])
+    def test_non_finite_flag_writes_nothing(self, workdir, tmp_path, capsys, flag, flags):
+        rc = main(["predict", "--draws", str(workdir / "draws.csv"),
+                   "--model", str(workdir / "model.json"), *flags,
+                   "--out-summary", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert f"{flag} must be a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def cls_fit(tmp_path_factory):
@@ -452,6 +483,20 @@ class TestDecompose:
                    "--out-boundary", str(tmp_path / "band.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, flags", [
+        ("--x", ["--x", "nan,0.5"]),
+        ("--x", ["--x", "0,0", "--x", "0.5,inf"]),
+        ("--boundary-grid", ["--x", "0,0", "--boundary-grid=-inf:3:7"]),
+    ])
+    def test_non_finite_flag_writes_nothing(self, cls_fit, tmp_path, capsys, flag, flags):
+        rc = main(["decompose", "--draws", str(cls_fit / "draws.csv"),
+                   "--model", str(cls_fit / "cls.json"), *flags,
+                   "--out", str(tmp_path / "dec.json"),
+                   "--out-boundary", str(tmp_path / "band.csv")])
+        assert rc == 2
+        assert f"{flag} must be a finite number" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_scalar_predict_on_two_feature_model_is_usage_error(self, cls_fit, tmp_path, capsys):

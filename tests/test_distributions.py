@@ -416,6 +416,17 @@ class TestSharedTruncation:
         with pytest.raises(ValueError, match="no probability mass"):
             truncated_normal(0.0, 1.0, lower=50.0)
 
+    @pytest.mark.parametrize("lower, upper", [(None, -1e80), (None, -1e60), (1e60, None)])
+    def test_interval_beyond_the_inverse_cdf_is_refused(self, lower, upper):
+        # the mass is positive, but stdtrit(3, p) reads +inf below p ~ 1e-240 and
+        # about half the quantile below 1e-160, so every draw would be the bound
+        with pytest.raises(ValueError, match="too deep in the tail"):
+            sample_truncated("student_t", 0.0, 1.0, 3.0, lower, upper,
+                             np.random.default_rng(0), 4)
+        draws = sample_truncated("student_t", 0.0, 1.0, 3.0, None, -1e50,
+                                 np.random.default_rng(0), 4)
+        assert np.all(draws <= -1e50) and np.unique(draws).size == 4
+
     def test_log_density_reuses_the_mass_from_construction(self, monkeypatch):
         calls = []
         entry = OUTCOMES["normal"]
