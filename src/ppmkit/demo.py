@@ -118,8 +118,8 @@ def candidate_models() -> list[ModelSpec]:
 
 _PRESETS = {
     # (warmup, samples, thin), tuned when every step swept the parameters one at
-    # a time; past the first half of warmup a step is now one block move, one
-    # density call where a sweep made one per parameter
+    # a time; past the first 75 sweeps of warmup a step is now one block move,
+    # one density call where a sweep made one per parameter
     "quadratic": (3000, 2500, 8),
     "exp3": (4000, 2000, 8),
     "exp2": (1500, 1500, 4),

@@ -286,9 +286,9 @@ class DistributionSpec:
         """``n`` independent draws using ``rng`` (numpy Generator)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self._truncation is not None:
-            return sample_truncated(BOUNDED[self.family], self.mu, self.sigma, self.df,
-                                    self.lower, self.upper, rng, n)
+        if self._truncation is not None:  # the draws of sample_truncated, from the stored mass
+            return _truncated_ppf(self._entry, rng.random(n), self.mu, self.sigma, self.df,
+                                  self._truncation)
         return sample_values(self.family, self.mu, self.sigma, self.df, rng, n)
 
     # ---------- serialization ----------

@@ -4,16 +4,17 @@ The sampler is adaptive Metropolis on an unconstrained parameterisation:
 a parameter whose prior is bounded is sampled as the log or scaled logit
 of its distance to the bounds, with the log-Jacobian added to the density,
 and draws are returned in the constrained space.  Each chain starts from
-the best of several prior draws.  The first half of warmup sweeps the
-parameters one at a time with adaptive scales; the second half makes block
-moves whose covariance each chain learns in doubling windows and whose
-scale is tuned toward a target acceptance rate.  That kernel is then
-frozen, so retained draws come from a fixed kernel.  Every phase runs one
-prefetched kernel, :func:`_metropolis`: one :func:`log_posterior` call
-scores each chain's next ``_PREFETCH`` moves as if it rejected them all,
-and the chain takes them up to its first accepted one, so the draws are
-those of one move per call and chains advance at their own pace; the
-accept tests run on Python floats.  The kernel stays fixed within a run,
+the best of several prior draws.  Warmup opens with at most ``_INIT_SWEEPS``
+sweeps of the parameters one at a time with adaptive scales, an initial
+buffer as in Stan; the rest of warmup makes block moves whose covariance
+each chain learns in doubling windows and whose scale is tuned toward a
+target acceptance rate.  That kernel is then frozen, so retained draws come
+from a fixed kernel.  Every phase runs one prefetched kernel,
+:func:`_metropolis`: one :func:`log_posterior` call scores each chain's
+next ``_PREFETCH`` moves as if it rejected them all, and the chain takes
+them up to its first accepted one, so the draws are those of one move per
+call and chains advance at their own pace; the accept tests run on Python
+floats.  The kernel stays fixed within a run,
 so warmup adapts its scales between runs of ``_RUN`` sweeps or steps.
 :func:`log_posterior` scores the priors from the table that a
 :class:`ModelSpec` builds once, one kernel call per prior family.  Chain
@@ -221,14 +222,14 @@ class FitConfig:
     """Sampler settings; ``samples`` counts retained draws per chain, at
     least 4, the fewest split R-hat can diagnose.
 
-    ``warmup`` counts adaptation steps: a sweep over every parameter in its
-    first half, one block step in its second.  ``thin`` runs that many
-    block steps per retained draw, which buys effective sample size on
-    strongly correlated posteriors without changing the retained draw
-    count.  ``init_scale`` is each parameter's starting proposal scale on
-    the unconstrained space, and ``target_accept`` the mean acceptance
-    probability every proposal scale is tuned toward, between runs of a
-    few sweeps or block steps.
+    ``warmup`` counts adaptation steps: a sweep over every parameter in the
+    first ``min(warmup // 2, 75)``, one block step in the rest.  ``thin``
+    runs that many block steps per retained draw, which buys effective
+    sample size on strongly correlated posteriors without changing the
+    retained draw count.  ``init_scale`` is each parameter's starting
+    proposal scale on the unconstrained space, and ``target_accept`` the
+    mean acceptance probability every proposal scale is tuned toward,
+    between runs of a few sweeps or block steps.
     """
 
     chains: int = 4
@@ -453,6 +454,10 @@ _INIT_CANDIDATES = 32
 
 _NOISE_CHUNK = 1024  # retained steps of noise each generator draws at a time
 
+# Exploration sweeps at the start of a long warmup, Stan's initial buffer (75
+# iterations); a warmup of under 152 steps sweeps in its first half.
+_INIT_SWEEPS = 75
+
 # Sweeps of an exploration run, or steps of a block-adaptation run: the proposal
 # scales stay fixed within a run, which prefetching needs, and adapt between runs.
 _RUN = 10
@@ -549,8 +554,11 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     of :class:`_Unconstrained`: block moves as in Haario, Saksman and
     Tamminen (2001), their covariance estimated from each doubling window's
     own draws as in Stan, their scale tuned as in Roberts and Rosenthal
-    (2009).  Every phase runs :func:`_metropolis`, prefetched along each
-    chain's reject path (Brockwell 2006); warmup adapts between its runs.
+    (2009).  Warmup opens with at most ``_INIT_SWEEPS`` one-coordinate
+    sweeps, whose per-coordinate scales are the first window's diagonal,
+    and spends the rest on block moves.  Every phase runs
+    :func:`_metropolis`, prefetched along each chain's reject path
+    (Brockwell 2006); warmup adapts between its runs.
     Raises :class:`FitError` if every chain is stuck after warmup (with
     diagnostics attached), if a learned proposal covariance cannot be
     factored, or if the draws cannot be diagnosed.
@@ -573,7 +581,7 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     target = config.target_accept
 
     # exploration: sweeps of one-coordinate moves, each coordinate with its own scale
-    sweeps = config.warmup // 2
+    sweeps = min(config.warmup // 2, _INIT_SWEEPS)
     log_scale = np.full((config.chains, k), math.log(config.init_scale))
     one_hot = np.tile(np.eye(k), (_RUN, 1))  # step t moves coordinate t % k
     for first in range(0, sweeps, _RUN):
@@ -585,8 +593,8 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
         gain = sum((t + 1) ** -0.6 for t in range(first, first + n))
         log_scale += gain * (alpha.reshape(-1, n, k).mean(axis=1) - target)
 
-    # adaptation: block moves, starting from the exploration scales, in doubling
-    # windows; each window's scale adaptation starts afresh
+    # adaptation: block moves for the rest of warmup, starting from the exploration
+    # scales, in doubling windows; each window's scale adaptation starts afresh
     chol = np.exp(log_scale)[:, None, :] * np.eye(k)  # Cholesky factor of each covariance
     reset = math.log(2.38 / math.sqrt(k))
     history = np.empty((config.chains, config.warmup - sweeps, k))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from ppmkit import DistributionSpec, bernoulli, normal, student_t, truncated_normal
+from ppmkit import DistributionSpec, bernoulli, distributions, normal, student_t, truncated_normal
 from ppmkit.distributions import OUTCOMES, sample_truncated
 
 # Frozen high-precision oracle values (mpmath, 30 digits).
@@ -441,4 +441,21 @@ class TestSharedTruncation:
         calls.clear()
         for y in np.linspace(-1.0, 5.0, 1000):
             d.log_density(y)
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [
+        truncated_normal(0.0, 2.0, lower=0.0),
+        truncated_normal(1.0, 0.5, upper=0.2),
+        truncated_normal(0.0, 5.0, lower=0.0, upper=2.0),
+        truncated_normal(0.2, 1.0, lower=9.0),  # mirrored through mu
+    ])
+    def test_spec_sample_reuses_the_truncation_from_construction(self, d, monkeypatch):
+        expected = sample_truncated("normal", d.mu, d.sigma, None, d.lower, d.upper,
+                                    np.random.default_rng(7), 500)
+        calls = []
+        truncate = distributions._truncate
+        monkeypatch.setattr(distributions, "_truncate",
+                            lambda *args: calls.append(args) or truncate(*args))
+        draws = d.sample(np.random.default_rng(7), 500)
+        assert np.array_equal(draws, expected)
         assert calls == []

@@ -511,6 +511,32 @@ class TestPrefetch:
         assert errors[0].acceptance == errors[1].acceptance == (0.0, 0.0)
 
 
+class TestWarmupSchedule:
+    @pytest.mark.parametrize("warmup", [1, 100, 151, 152, 4000])
+    def test_sweeps_fill_at_most_the_initial_buffer(self, warmup, monkeypatch):
+        # each kernel run is one-coordinate steps (one moved coordinate) or block
+        # steps (all k); warmup sweeps min(warmup // 2, 75) times, then steps blocks
+        k, runs = 3, []
+        original = inference._metropolis
+
+        def recording(density, u, lp, incr, log_u):
+            moved = np.unique(np.count_nonzero(incr, axis=2))
+            assert moved.tolist() in ([1], [k])
+            runs.append((int(moved[0]), incr.shape[1]))
+            return original(density, u, lp, incr, log_u)
+
+        monkeypatch.setattr(inference, "_metropolis", recording)
+        cfg = FitConfig(chains=2, warmup=warmup, samples=40, thin=3, seed=0)
+        fit(true_model_spec(), simulate_dataset(30, seed=3), cfg)
+        sweeps = min(warmup // 2, 75)
+        assert [moved for moved, _ in runs] == sorted(moved for moved, _ in runs)
+        assert sum(n for moved, n in runs if moved == 1) == sweeps * k
+        *adaptation, retained = [n for moved, n in runs if moved == k]
+        assert sum(adaptation) == warmup - sweeps
+        assert max(adaptation, default=0) <= inference._RUN
+        assert retained == cfg.samples * cfg.thin
+
+
 class TestHeavyTailedOutcome:
     def test_student_t_likelihood_matches_scalar_sum(self):
         from ppmkit import student_t
