@@ -6,8 +6,10 @@ parameter draw through the model and samples the outcome family; the
 plug-in predictive does the same from a single point estimate, which is
 exactly what ignoring parameter uncertainty means.  Both, and the
 noisy-input predictive of :func:`ppmkit.uncertainty.propagate_test_error`,
-share one sampler, :func:`_predictive_samples`.  Model averaging pools
-per-model samples into a mixture.
+share one sampler, :func:`_predictive_samples`.  A distribution is only
+its query, its samples and a model label; model averaging pools leading
+slices of each model's samples, in model order, under the label
+``average(a, b, c)``.
 """
 
 from __future__ import annotations
@@ -24,25 +26,17 @@ from .inference import ModelSpec, PosteriorDraws
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    """Empirical outcome samples at a query input, with provenance."""
+    """Empirical outcome samples at a query input ``x``, labelled by the
+    ``model`` that produced them (``average(a, b)`` for a mixture)."""
 
     x: float
     samples: np.ndarray
     model: str = ""
-    n_parameter_draws: int = 0
-    truncated: bool = False
-    sources: np.ndarray | None = None  # per-sample model tag for mixtures
 
     def __post_init__(self):
         s = np.array(self.samples, dtype=float)
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
-        if self.sources is not None:
-            src = np.array(self.sources)
-            if src.shape != s.shape:
-                raise ValueError("one source tag per sample required")
-            src.flags.writeable = False
-            object.__setattr__(self, "sources", src)
 
     @property
     def n(self) -> int:
@@ -116,13 +110,7 @@ def posterior_predictive(
     if rng is None:
         rng = np.random.default_rng(0)
     samples = _predictive_samples(model, draws.draws, x, per_draw, rng)
-    return PredictiveDistribution(
-        x=float(x),
-        samples=samples,
-        model=model.name,
-        n_parameter_draws=draws.n_draws,
-        truncated=model.truncation is not None,
-    )
+    return PredictiveDistribution(x=float(x), samples=samples, model=model.name)
 
 
 def plug_in_predictive(
@@ -141,13 +129,7 @@ def plug_in_predictive(
     if rng is None:
         rng = np.random.default_rng(0)
     samples = _predictive_samples(model, theta_hat[None, :], x, n, rng)
-    return PredictiveDistribution(
-        x=float(x),
-        samples=samples,
-        model=f"{model.name} (plug-in)",
-        n_parameter_draws=1,
-        truncated=model.truncation is not None,
-    )
+    return PredictiveDistribution(x=float(x), samples=samples, model=f"{model.name} (plug-in)")
 
 
 def interval(pred: PredictiveDistribution, level: float = 0.95) -> PredictionInterval:
@@ -177,8 +159,9 @@ def average_predictions(
 ) -> PredictiveDistribution:
     """Pool per-model predictive samples into a mixture at a shared query.
 
-    Equal weights downsample every model to a common size before pooling;
-    explicit weights allocate sample counts proportionally.
+    Equal weights take each model's first ``m`` samples, ``m`` the smallest
+    sample count; explicit weights allocate leading-slice counts by largest
+    remainder.  Slices are concatenated in model order.
     """
     if len(preds) == 0:
         raise ValueError("no predictions to average")
@@ -192,23 +175,14 @@ def average_predictions(
         if len(weights) != len(preds):
             raise ValueError("one weight per prediction required")
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
         total = min(int(p.n / wi) for p, wi in zip(preds, w) if wi > 0.0)
         counts = _proportional_counts(w, total)
-    parts, tags = [], []
-    for p, c in zip(preds, counts):
-        c = min(c, p.n)
-        parts.append(p.samples[:c])
-        tags.append(np.full(c, p.model or "model", dtype=object))
-    pooled = np.concatenate(parts)
     return PredictiveDistribution(
         x=x,
-        samples=pooled,
+        samples=np.concatenate([p.samples[:min(c, p.n)] for p, c in zip(preds, counts)]),
         model="average(" + ", ".join(p.model or "model" for p in preds) + ")",
-        n_parameter_draws=sum(p.n_parameter_draws for p in preds),
-        truncated=all(p.truncated for p in preds),
-        sources=np.concatenate(tags),
     )
 
 
@@ -276,11 +250,6 @@ class WidthTable:
     x: tuple[float, ...]
     level: float
     widths: dict[str, tuple[float, ...]]
-
-    def rows(self):
-        for name, ws in self.widths.items():
-            for xi, wi in zip(self.x, ws):
-                yield name, xi, wi
 
 
 def pi_width_curve(

@@ -33,6 +33,9 @@ class MeasuredValue:
     standard_error: float = 0.0
 
     def __post_init__(self):
+        for name in ("value", "standard_error"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.standard_error < 0.0:
             raise ValueError("standard_error must be >= 0")
 
@@ -103,11 +106,7 @@ def propagate_test_error(
     idx = rng.integers(0, draws.n_draws, n_x)
     samples = _predictive_samples(model, draws.draws[idx], x_draws, 1, rng)
     return PredictiveDistribution(
-        x=x.value,
-        samples=samples,
-        model=f"{model.name} (input +/- {x.standard_error})",
-        n_parameter_draws=draws.n_draws,
-        truncated=model.truncation is not None,
+        x=x.value, samples=samples, model=f"{model.name} (input +/- {x.standard_error})"
     )
 
 

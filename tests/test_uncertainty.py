@@ -84,6 +84,13 @@ class TestMeasuredValue:
     def test_zero_error_means_exact(self):
         assert MeasuredValue(0.5).standard_error == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["value", "standard_error"])
+    def test_non_finite_field_rejected(self, field, bad):
+        kwargs = {"value": 0.3, "standard_error": 0.1, field: bad}
+        with pytest.raises(ValueError, match=field):
+            MeasuredValue(**kwargs)
+
 
 class TestGenerateDatasets:
     def test_zero_errors_give_identical_copies(self):
