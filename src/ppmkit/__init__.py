@@ -21,8 +21,6 @@ from .functions import (
     MeanFunctionSpec,
     VarianceFunctionSpec,
     apply_link,
-    eval_mean,
-    eval_sigma,
     softplus,
 )
 from .inference import (
@@ -98,8 +96,6 @@ __all__ = [
     "decompose_uncertainty",
     "default_priors",
     "diagnostics",
-    "eval_mean",
-    "eval_sigma",
     "fit",
     "fit_ensemble",
     "generate_datasets",

@@ -373,18 +373,18 @@ def cmd_report(args) -> int:
     var_model = demo.variance_trend_model()
     var_const_model = demo.regression_model("true_model")
     cls_model = demo.classification_model()
-    jobs = [  # (fit name, model, dataset, sampler preset kind)
-        ("quadratic_full", quad, data, "quadratic"),
-        ("exp2_full", exp2, data, "exp2"),
-        ("exp3_full", exp3, data, "exp3"),
-        ("quadratic_sub", quad, sub, "quadratic"),
-        ("var_trend", var_model, hetero, "scale-trend"),
-        ("var_const", var_const_model, hetero, "true_model"),
-        ("logistic", cls_model, cls_data, "logistic"),
-    ] + [(f"gen_{i}", exp3, g, "exp3") for i, g in enumerate(generated)]
-    names, models, datasets, kinds = zip(*jobs)
-    configs = [demo.fit_settings(kind, seed + 1000 * (i + 1), args.fast)
-               for i, kind in enumerate(kinds)]
+    jobs = [  # (fit name, model, dataset)
+        ("quadratic_full", quad, data),
+        ("exp2_full", exp2, data),
+        ("exp3_full", exp3, data),
+        ("quadratic_sub", quad, sub),
+        ("var_trend", var_model, hetero),
+        ("var_const", var_const_model, hetero),
+        ("logistic", cls_model, cls_data),
+    ] + [(f"gen_{i}", exp3, g) for i, g in enumerate(generated)]
+    names, models, datasets = zip(*jobs)
+    configs = [demo.fit_settings(model.name, seed + 1000 * (i + 1), args.fast)
+               for i, model in enumerate(models)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             fitted = list(pool.map(fit, models, datasets, configs))

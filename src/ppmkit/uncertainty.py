@@ -97,6 +97,8 @@ def propagate_test_error(
     pairs each with one posterior draw (resampled with replacement), so the
     pooled outcome samples carry both input and parameter uncertainty.
     """
+    if draws.n_draws == 0:
+        raise ValueError("no posterior draws")
     if n_x < 1:
         raise ValueError("n_x must be >= 1")
     if rng is None:

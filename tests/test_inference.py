@@ -39,6 +39,7 @@ from ppmkit import (
     simulate_classification,
     simulate_dataset,
     student_t,
+    subsample_every_kth,
     truncated_normal,
 )
 from ppmkit import distributions, inference
@@ -335,6 +336,27 @@ class TestFit:
     def test_exp3_converges_at_its_preset(self):
         draws = fit(demo.regression_model("exp3"), demo.running_example(),
                     demo.fit_settings("exp3", 1009))
+        assert draws.diagnostics.max_r_hat() <= 1.01
+        assert min(draws.diagnostics.ess.values()) >= 400
+
+    @pytest.mark.parametrize("kind", ["quadratic", "exp2", "true_model", "michaelis_menten",
+                                      "scale-trend", "logistic", "quadratic-sub"])
+    def test_every_kind_but_exp3_converges_at_the_default(self, kind):
+        # quadratic-sub is the report's every-8th-row subsample, the thinnest margin
+        if kind == "logistic":
+            model = demo.classification_model()
+            data = simulate_classification(300, demo.CLASSIFICATION_COEF,
+                                           seed=demo.RUNNING_EXAMPLE_SEED + 1)
+        elif kind == "scale-trend":
+            model, data = demo.variance_trend_model(), demo.heteroscedastic_example()
+        elif kind == "quadratic-sub":
+            model = demo.regression_model("quadratic")
+            data = subsample_every_kth(demo.running_example(), 8)
+        else:
+            model, data = demo.regression_model(kind), demo.running_example()
+        config = demo.fit_settings(kind, 1009)
+        assert config == FitConfig(seed=1009)
+        draws = fit(model, data, config)
         assert draws.diagnostics.max_r_hat() <= 1.01
         assert min(draws.diagnostics.ess.values()) >= 400
 

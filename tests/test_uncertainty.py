@@ -24,6 +24,7 @@ from ppmkit import (
     propagate_test_error,
     simulate_classification,
     simulate_dataset,
+    demo,
     truncated_normal,
 )
 
@@ -163,6 +164,14 @@ class TestPropagateTestError:
         model, draws = exp3_fit
         with pytest.raises(ValueError):
             propagate_test_error(model, draws, MeasuredValue(0.15, 0.06), n_x=0)
+
+    def test_zero_draws_rejected_as_in_posterior_predictive(self):
+        model = demo.regression_model("quadratic")
+        draws = PosteriorDraws(np.empty((0, 4)), np.empty(0, int), model.parameter_names)
+        with pytest.raises(ValueError, match="no posterior draws"):
+            posterior_predictive(model, draws, 0.15)
+        with pytest.raises(ValueError, match="no posterior draws"):
+            propagate_test_error(model, draws, MeasuredValue(0.15, 0.06))
 
     def test_non_positive_scale_rejected(self):
         model = exp3_model()

@@ -13,7 +13,7 @@ inclusive ``start:stop:step`` ranges.  Each kind ends with a summary line.
 
 ``--flat-line`` counts the true_model chains that stay on its flat-line mode
 (theta1 far below 0) under the default priors: 2 chains, warmup 400, samples
-400, sampler seeds 0-59, on ``simulate_dataset(100, seed=100)`` and
+400, thin 1, sampler seeds 0-59, on ``simulate_dataset(100, seed=100)`` and
 ``simulate_dataset(200, seed=200)``; a chain is stuck when its mean theta1 < 0.
 
 Counts, ESS and R-hat are deterministic for a given tree; wall times are not.
@@ -32,18 +32,22 @@ import ppmkit as pk  # noqa: E402
 from ppmkit import demo, inference  # noqa: E402
 
 KINDS = ("quadratic", "exp2", "exp3", "true_model", "michaelis_menten", "scale-trend",
-         "logistic")
+         "logistic", "quadratic-sub")
 MIN_ESS, MAX_R_HAT = 400.0, 1.01
 
 
 def case(kind):
     """(model, data) of a demo kind: the report's classification or heteroscedastic
-    dataset for logistic and scale-trend, the running example for the others."""
+    dataset for logistic and scale-trend, the quadratic model on the report's
+    every-8th-row subsample for quadratic-sub, the running example for the others."""
     if kind == "logistic":
         return demo.classification_model(), pk.simulate_classification(
             300, demo.CLASSIFICATION_COEF, seed=demo.RUNNING_EXAMPLE_SEED + 1)
     if kind == "scale-trend":
         return demo.variance_trend_model(), demo.heteroscedastic_example()
+    if kind == "quadratic-sub":
+        sub = pk.subsample_every_kth(demo.running_example(), 8)
+        return demo.regression_model("quadratic"), sub
     return demo.regression_model(kind), demo.running_example()
 
 
@@ -104,7 +108,7 @@ def flat_line_count():
         data = pk.simulate_dataset(n, seed=data_seed)
         stuck = 0
         for seed in range(60):
-            config = pk.FitConfig(chains=2, warmup=400, samples=400, seed=seed)
+            config = pk.FitConfig(chains=2, warmup=400, samples=400, thin=1, seed=seed)
             theta1 = pk.fit(model, data, config).by_chain()[:, :, 0]
             stuck += int((theta1.mean(axis=1) < 0.0).sum())
             chains += 2
