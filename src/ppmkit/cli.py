@@ -229,12 +229,10 @@ def cmd_predict(args) -> int:
     draw_paths = [_require_file(p, "draws file") for p in args.draws]
     model_paths = [_require_file(p, "model spec") for p in args.model]
     models = [ModelSpec.load(p) for p in model_paths]
-    if len(models) == 1 and len(draw_paths) > 1:
-        if args.combine != "pool":
-            raise UsageError("one model spec per draws file is required unless --combine pool")
+    if len(models) == 1:
         models = models * len(draw_paths)
     if len(models) != len(draw_paths):
-        raise UsageError("one --model per --draws is required")
+        raise UsageError("give one --model, or one per --draws")
     all_draws = [PosteriorDraws.from_csv(p) for p in draw_paths]
     for m, d in zip(models, all_draws):
         if m.parameter_names != d.parameter_names:
@@ -276,7 +274,7 @@ def cmd_predict(args) -> int:
         return [average_predictions([preds[qi] for preds in per_model.values()])
                 for qi in range(len(queries))]
 
-    combined = averaged() if len(per_model) > 1 and args.combine in ("average", "pool") else None
+    combined = averaged() if len(per_model) > 1 and args.combine == "average" else None
 
     results = [
         _summary_entry(pred, args.level, args.threshold, args.direction)
@@ -398,6 +396,10 @@ def cmd_report(args) -> int:
 
     convergence = {name: d.diagnostics.to_json() for name, d in draws.items()}
     emit_json("convergence.json", {"fits": convergence})
+    flagged = [name for name, diag in convergence.items() if diag["flagged"]]
+    if flagged:
+        print(f"report: fits flagged as unconverged: {', '.join(flagged)} "
+              f"(see {out / 'convergence.json'})", file=sys.stderr)
 
     # ---- threshold decision (two-compound demo) -----------------------
     rng = np.random.default_rng([seed, 1, 0])
@@ -603,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=demo.TRUE_SIGMA)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classification", action="store_true")
-    p.add_argument("--coef", default="0.4,1.2,-1.4",
+    p.add_argument("--coef", default=",".join(map(str, demo.CLASSIFICATION_COEF)),
                    help="classification coefficients theta0,theta1,theta2")
     p.add_argument("--subsample-k", type=int, default=None)
     p.add_argument("--random-x", action="store_true")
@@ -634,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate-upper", type=float, default=None)
     p.add_argument("--x-se", type=float, default=None)
     p.add_argument("--n-x", type=int, default=1000)
-    p.add_argument("--combine", choices=["none", "average", "pool"], default="average")
+    p.add_argument("--combine", choices=["none", "average"], default="average")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-summary", required=True)
     p.add_argument("--out-samples", default=None)
@@ -650,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary-grid", default=None, help="start:stop:count over x1")
     p.add_argument("--out", required=True)
     p.add_argument("--out-boundary", default="boundary_band.csv")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("report", help="run the full demo pipeline into a directory")

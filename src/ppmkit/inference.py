@@ -226,18 +226,16 @@ class FitConfig:
     first ``min(warmup // 2, 75)``, one block step in the rest.  ``thin``
     runs that many block steps per retained draw, which buys effective
     sample size on strongly correlated posteriors without changing the
-    retained draw count.  ``init_scale`` is each parameter's starting
-    proposal scale on the unconstrained space, and ``target_accept`` the
-    mean acceptance probability every proposal scale is tuned toward,
-    between runs of a few sweeps or block steps.  The defaults mix every demo
-    kind but exp3 to bulk ESS >= 400 and R-hat <= 1.01.
+    retained draw count.  The rest is fixed: every proposal scale starts at
+    ``_INIT_SCALE`` (0.5) on the unconstrained space and is tuned toward a
+    mean acceptance probability of ``_TARGET_ACCEPT`` (0.30) between runs
+    of a few sweeps or block steps.  The defaults mix every demo kind but
+    exp3 to bulk ESS >= 400 and R-hat <= 1.01.
     """
 
     chains: int = 4
     warmup: int = 1000
     samples: int = 1000
-    init_scale: float = 0.5
-    target_accept: float = 0.30
     seed: int = 0
     thin: int = 4
 
@@ -246,10 +244,6 @@ class FitConfig:
             raise ValueError("need at least 2 chains for diagnostics")
         if self.warmup < 1 or self.samples < 4:
             raise ValueError("need warmup >= 1 and samples >= 4 (4 draws per chain for R-hat)")
-        if not self.init_scale > 0.0:
-            raise ValueError("init_scale must be > 0")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must lie in (0, 1)")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
 
@@ -467,6 +461,11 @@ _RUN = 10
 # which it rejects them all.
 _PREFETCH = 4
 
+# Every parameter's starting proposal scale on the unconstrained space, and the mean
+# acceptance probability warmup tunes each proposal scale toward.
+_INIT_SCALE = 0.5
+_TARGET_ACCEPT = 0.30
+
 
 def _noise(rngs, steps, width):
     """Each chain's ``steps`` rows of ``width`` standard normals and its ``steps``
@@ -579,11 +578,10 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     u = density.unconstrain(_init_from_priors(model, data, rngs, _INIT_CANDIDATES)[0])
     lp = density(u)
     k = model.n_params
-    target = config.target_accept
 
     # exploration: sweeps of one-coordinate moves, each coordinate with its own scale
     sweeps = min(config.warmup // 2, _INIT_SWEEPS)
-    log_scale = np.full((config.chains, k), math.log(config.init_scale))
+    log_scale = np.full((config.chains, k), math.log(_INIT_SCALE))
     one_hot = np.tile(np.eye(k), (_RUN, 1))  # step t moves coordinate t % k
     for first in range(0, sweeps, _RUN):
         n = min(_RUN, sweeps - first)
@@ -592,7 +590,7 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
         path, alpha, _, lp = _metropolis(density, u, lp, incr, log_u)
         u = path[:, -1]
         gain = sum((t + 1) ** -0.6 for t in range(first, first + n))
-        log_scale += gain * (alpha.reshape(-1, n, k).mean(axis=1) - target)
+        log_scale += gain * (alpha.reshape(-1, n, k).mean(axis=1) - _TARGET_ACCEPT)
 
     # adaptation: block moves for the rest of warmup, starting from the exploration
     # scales, in doubling windows; each window's scale adaptation starts afresh
@@ -609,7 +607,7 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
             history[:, first:stop], alpha, _, lp = _metropolis(density, u, lp, incr, log_u)
             u = history[:, stop - 1]
             gain = sum((t + 1) ** -0.6 for t in range(first - start, stop - start))
-            log_lam += gain * (alpha.mean(axis=1) - target)
+            log_lam += gain * (alpha.mean(axis=1) - _TARGET_ACCEPT)
         if end in ends:  # estimate from the window's own draws, as Stan does
             try:
                 chol = np.linalg.cholesky(_regularised_cov(history[:, start:end]))

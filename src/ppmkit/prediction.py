@@ -154,47 +154,22 @@ def prob_exceeds(pred: PredictiveDistribution, threshold: float, direction: str 
     raise ValueError("direction must be 'above' or 'below'")
 
 
-def average_predictions(
-    preds: list[PredictiveDistribution], weights: list[float] | None = None
-) -> PredictiveDistribution:
-    """Pool per-model predictive samples into a mixture at a shared query.
-
-    Equal weights take each model's first ``m`` samples, ``m`` the smallest
-    sample count; explicit weights allocate leading-slice counts by largest
-    remainder.  Slices are concatenated in model order.
+def average_predictions(preds: list[PredictiveDistribution]) -> PredictiveDistribution:
+    """Pool per-model predictive samples into an equal-weight mixture at a
+    shared query: each model's first ``m`` samples, ``m`` the smallest
+    sample count, concatenated in model order.
     """
     if len(preds) == 0:
         raise ValueError("no predictions to average")
     x = preds[0].x
     if any(p.x != x for p in preds):
         raise ValueError("predictions must share the same query x")
-    if weights is None:
-        m = min(p.n for p in preds)
-        counts = [m] * len(preds)
-    else:
-        if len(weights) != len(preds):
-            raise ValueError("one weight per prediction required")
-        w = np.asarray(weights, dtype=float)
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        total = min(int(p.n / wi) for p, wi in zip(preds, w) if wi > 0.0)
-        counts = _proportional_counts(w, total)
+    m = min(p.n for p in preds)
     return PredictiveDistribution(
         x=x,
-        samples=np.concatenate([p.samples[:min(c, p.n)] for p, c in zip(preds, counts)]),
+        samples=np.concatenate([p.samples[:m] for p in preds]),
         model="average(" + ", ".join(p.model or "model" for p in preds) + ")",
     )
-
-
-def _proportional_counts(w, total):
-    """Largest-remainder apportionment of ``total`` among weights ``w``."""
-    raw = w * total
-    counts = np.floor(raw).astype(int)
-    short = total - counts.sum()
-    if short > 0:
-        order = np.argsort(-(raw - counts))
-        counts[order[:short]] += 1
-    return counts.tolist()
 
 
 # --------------------------------------------------------------------- #

@@ -205,14 +205,15 @@ class TestFit:
         assert payload["mode"] == "plug_in"
         assert payload["run_config"]["flags"]["plug_in"] is True
 
-    def test_stuck_fit_writes_error_diagnostics(self, workdir, tmp_path):
+    def test_stuck_fit_writes_error_diagnostics(self, workdir, tmp_path, monkeypatch):
         # an absurd proposal scale rejects every move, so every chain is stuck
+        monkeypatch.setattr(inference, "_INIT_SCALE", 1e12)
         diag = tmp_path / "diag.json"
         rc = main(["fit", "--data", str(workdir / "data.csv"),
                    "--model", str(workdir / "model.json"),
                    "--out-draws", str(tmp_path / "d.csv"), "--out-diagnostics", str(diag),
                    "--chains", "2", "--warmup", "1", "--samples", "50",
-                   "--init-scale", "1e12", "--seed", "0"])
+                   "--seed", "0"])
         assert rc == 1
         assert not (tmp_path / "d.csv").exists()
         payload = json.loads(diag.read_text())
@@ -222,6 +223,15 @@ class TestFit:
         for key in ("r_hat", "ess"):
             assert set(payload[key]) == {"theta1", "theta2", "sigma"}
             assert all(math.isnan(v) for v in payload[key].values())
+
+    @pytest.mark.parametrize("flags", [["--init-scale", "1"], ["--target-accept", "0.3"]])
+    def test_sampler_constants_are_not_flags(self, workdir, tmp_path, flags):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fit", "--data", str(workdir / "data.csv"),
+                  "--model", str(workdir / "model.json"),
+                  "--out-draws", str(tmp_path / "d.csv"), *flags])
+        assert exit_.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_feature_count_mismatch_is_usage_error(self, workdir, tmp_path, capsys):
         model_path = tmp_path / "two_features.json"
@@ -379,11 +389,25 @@ class TestPredict:
         rc = main(["predict",
                    "--draws", str(workdir / "draws.csv"), "--draws", str(second),
                    "--model", str(workdir / "model.json"),
-                   "--x", "0.5", "--per-draw", "4", "--combine", "pool",
+                   "--x", "0.5", "--per-draw", "4",
                    "--out-summary", str(out), "--seed", "3"])
         assert rc == 0
         results = json.loads(out.read_text())["results"]
         assert any(r["model"].startswith("average(") for r in results)
+
+    def test_one_model_serves_every_draws_file_uncombined(self, workdir, tmp_path):
+        draws = str(workdir / "draws.csv")
+        summary, widths = tmp_path / "s.json", tmp_path / "w.csv"
+        rc = main(["predict", "--draws", draws, "--draws", draws,
+                   "--model", str(workdir / "model.json"), "--grid", "0:1:3",
+                   "--combine", "none", "--out-summary", str(summary),
+                   "--out-widths", str(widths), "--seed", "3"])
+        assert rc == 0
+        results = json.loads(summary.read_text())["results"]
+        assert [r["x"] for r in results] == [0.0, 0.5, 1.0] * 2
+        with open(widths, newline="") as fh:
+            names = [r["model"] for r in csv.DictReader(fh)]
+        assert names == ["true_model"] * 3 + ["true_model#1"] * 3 + ["average"] * 3
 
     def test_missing_query_is_usage_error(self, workdir, tmp_path):
         rc = main(["predict", "--draws", str(workdir / "draws.csv"),
@@ -506,6 +530,15 @@ class TestDecompose:
         assert rc == 2
         assert "takes 2 features" in capsys.readouterr().err
 
+    def test_seed_is_not_a_flag(self, cls_fit, tmp_path):
+        # decompose draws no random numbers
+        with pytest.raises(SystemExit) as exit_:
+            main(["decompose", "--draws", str(cls_fit / "draws.csv"),
+                  "--model", str(cls_fit / "cls.json"), "--x", "0,0",
+                  "--out", str(tmp_path / "d.json"), "--seed", "0"])
+        assert exit_.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_regression_model_rejected(self, workdir, tmp_path):
         rc = main(["decompose", "--draws", str(workdir / "draws.csv"),
                    "--model", str(workdir / "model.json"),
@@ -522,6 +555,18 @@ class TestReport:
         for rel in manifest["artifacts"]:
             assert (out / rel).is_file()
         assert manifest["run_config"]["seed"] == 9
+
+    def test_flagged_fits_are_named_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["report", "--out-dir", str(out), "--fast", "--seed", "1"]) == 0
+        fits = json.loads((out / "convergence.json").read_text())["fits"]
+        job_order = ["quadratic_full", "exp2_full", "exp3_full", "quadratic_sub", "var_trend",
+                     "var_const", "logistic"] + [f"gen_{i}" for i in range(5)]
+        flagged = [name for name in job_order if fits[name]["flagged"]]
+        assert flagged == job_order  # --fast settings converge no fit
+        assert capsys.readouterr().err.splitlines() == [
+            f"report: fits flagged as unconverged: {', '.join(flagged)} "
+            f"(see {out / 'convergence.json'})"]
 
     @pytest.mark.parametrize("flags", [["--m-datasets", "0"], ["--workers", "-3"],
                                        ["--workers", "0"]])

@@ -281,6 +281,11 @@ class TestPriorTable:
 
 
 class TestFit:
+    def test_config_holds_only_the_settings_callers_vary(self):
+        # the starting proposal scale and the target acceptance are module constants
+        assert [f.name for f in dataclasses.fields(FitConfig)] == [
+            "chains", "warmup", "samples", "seed", "thin"]
+
     def test_recovers_generating_parameters(self):
         data = simulate_dataset(100, 3.25, 0.2, 0.1, seed=0)
         draws = fit(true_model_spec(), data, FitConfig(chains=4, warmup=800, samples=800, seed=1))
@@ -319,10 +324,11 @@ class TestFit:
         lps = [log_posterior(model, data, th) for th in draws.draws]
         assert np.all(np.isfinite(lps))
 
-    def test_all_chains_stuck_raises_with_diagnostics(self):
+    def test_all_chains_stuck_raises_with_diagnostics(self, monkeypatch):
         data = simulate_dataset(20, seed=1)
         # an absurd frozen proposal scale rejects every sampling move
-        cfg = FitConfig(chains=2, warmup=1, samples=50, init_scale=1e12, seed=0)
+        monkeypatch.setattr(inference, "_INIT_SCALE", 1e12)
+        cfg = FitConfig(chains=2, warmup=1, samples=50, seed=0)
         with pytest.raises(FitError) as err:
             fit(true_model_spec(), data, cfg)
         assert err.value.diagnostics is not None
@@ -523,7 +529,8 @@ class TestPrefetch:
 
     def test_depth_keeps_the_stuck_fit_error(self, monkeypatch):
         data = simulate_dataset(20, seed=1)
-        cfg = FitConfig(chains=2, warmup=1, samples=50, init_scale=1e12, seed=0)
+        monkeypatch.setattr(inference, "_INIT_SCALE", 1e12)
+        cfg = FitConfig(chains=2, warmup=1, samples=50, seed=0)
         errors = []
         for depth in (_PREFETCH, 1):
             monkeypatch.setattr(inference, "_PREFETCH", depth)

@@ -234,29 +234,6 @@ class TestAveragePredictions:
         expected = np.concatenate([a.samples[:500], b.samples[:500]])
         np.testing.assert_array_equal(avg.samples, expected)
 
-    def test_weighted_counts_proportional(self):
-        rng = np.random.default_rng(18)
-        a = PredictiveDistribution(x=0.0, samples=rng.standard_normal(10_000), model="a")
-        b = PredictiveDistribution(x=0.0, samples=rng.standard_normal(10_000), model="b")
-        avg = average_predictions([a, b], weights=[0.75, 0.25])
-        # 13,333 pooled samples apportioned 10,000 / 3,333 by largest remainder
-        np.testing.assert_array_equal(avg.samples, np.concatenate([a.samples, b.samples[:3333]]))
-
-    def test_weights_must_sum_to_one(self):
-        rng = np.random.default_rng(19)
-        a = PredictiveDistribution(x=0.0, samples=rng.standard_normal(1000))
-        b = PredictiveDistribution(x=0.0, samples=rng.standard_normal(1000))
-        with pytest.raises(ValueError):
-            average_predictions([a, b], weights=[0.8, 0.8])
-
-    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, np.nan], [1.0, np.inf]])
-    def test_non_finite_weights_rejected(self, weights):
-        rng = np.random.default_rng(19)
-        a = PredictiveDistribution(x=0.0, samples=rng.standard_normal(1000))
-        b = PredictiveDistribution(x=0.0, samples=rng.standard_normal(1000))
-        with pytest.raises(ValueError, match="weights"):
-            average_predictions([a, b], weights=weights)
-
 
 class TestWidthCurve:
     def _preds(self, rng, center, spread, grid, model):
