@@ -241,6 +241,8 @@ def cmd_predict(args) -> int:
                 f"draws carry {d.parameter_names}"
             )
 
+    if args.grid is not None and args.x:
+        raise UsageError("--x and --grid cannot be combined; give one of them")
     if args.grid is not None:
         queries = _parse_grid(args.grid, "--grid")
     elif args.x:
@@ -257,7 +259,8 @@ def cmd_predict(args) -> int:
 
     per_model = {}
     for mi, (m, d) in enumerate(zip(models, all_draws)):
-        key = m.name if m.name not in per_model else f"{m.name}#{mi}"
+        if m.name in per_model:  # a repeated model: its results carry their own label
+            m = dataclasses.replace(m, name=f"{m.name}#{mi}")
         preds = []
         for qi, x in enumerate(queries):
             rng = np.random.default_rng([args.seed, mi, qi])
@@ -268,7 +271,7 @@ def cmd_predict(args) -> int:
             else:
                 pred = posterior_predictive(m, d, float(x), per_draw=args.per_draw, rng=rng)
             preds.append(pred)
-        per_model[key] = preds
+        per_model[m.name] = preds
 
     def averaged():
         return [average_predictions([preds[qi] for preds in per_model.values()])

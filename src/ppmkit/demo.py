@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .distributions import DistributionSpec, normal, truncated_normal
+from .distributions import normal, truncated_normal
 from .functions import MeanFunctionSpec, VarianceFunctionSpec, softplus
 from .inference import FitConfig, ModelSpec
 from .simulate import Dataset, simulate_dataset, true_mean
@@ -43,65 +43,52 @@ def running_example(n: int = 100, seed: int = RUNNING_EXAMPLE_SEED) -> Dataset:
     return simulate_dataset(n, TRUE_THETA1, TRUE_THETA2, TRUE_SIGMA, seed=seed)
 
 
-def heteroscedastic_example(n: int = 100, seed: int = RUNNING_EXAMPLE_SEED) -> Dataset:
-    """Same mean curve, outcome spread growing linearly with the mean."""
+def heteroscedastic_example(seed: int = RUNNING_EXAMPLE_SEED) -> Dataset:
+    """Same mean curve over 100 rows, outcome spread growing linearly with the mean."""
     rng = np.random.default_rng(seed)
-    x = np.linspace(0.0, 1.0, n)
+    x = np.linspace(0.0, 1.0, 100)
     mu = true_mean(x, TRUE_THETA1, TRUE_THETA2)
     sigma = softplus(-3.1 + 1.3 * mu)
-    y = mu + sigma * rng.standard_normal(n)
-    return Dataset(x=x, y=y, note=f"heteroscedastic n={n} seed={seed}")
+    y = mu + sigma * rng.standard_normal(x.size)
+    return Dataset(x=x, y=y)
 
 
-def measurement_error_example(
-    n: int = 100, seed: int = RUNNING_EXAMPLE_SEED
-) -> Dataset:
+def measurement_error_example(seed: int = RUNNING_EXAMPLE_SEED) -> Dataset:
     """Running example with per-row assay errors and a constant outcome error."""
-    base = running_example(n, seed)
+    base = running_example(seed=seed)
     rng = np.random.default_rng(seed + 500_000)
     return Dataset(
         x=base.x,
         y=base.y,
-        x_se=rng.uniform(0.01, 0.08, n),
-        y_se=np.full(n, 0.05),
-        note=base.note + " with-errors",
+        x_se=rng.uniform(0.01, 0.08, base.n),
+        y_se=np.full(base.n, 0.05),
     )
 
 
-def _scale_prior() -> DistributionSpec:
-    return truncated_normal(0.0, 2.0, lower=0.0)
+def _saturating(model: ModelSpec) -> ModelSpec:
+    """``model`` with Normal+(0, 5) on the rate and Normal(0, 2) on each other
+    mean parameter; its scale priors stay as they are."""
+    k = model.n_mean_params
+    mean_priors = (truncated_normal(0.0, 5.0, lower=0.0),) + (normal(0.0, 2.0),) * (k - 1)
+    return replace(model, priors=mean_priors + model.priors[k:])
 
 
-def regression_model(form: str, truncation=None, name: str = "") -> ModelSpec:
-    """A constant-scale normal regression with demo priors for ``form``."""
-    mean = MeanFunctionSpec(form)
+def regression_model(form: str) -> ModelSpec:
+    """A constant-scale normal regression with demo priors for ``form``: the
+    saturating priors for a saturating form, the defaults for any other."""
+    model = ModelSpec(mean=MeanFunctionSpec(form), variance=VarianceFunctionSpec("constant"))
     if form in ("exp2", "exp3", "true_model", "michaelis_menten"):
-        priors = (truncated_normal(0.0, 5.0, lower=0.0),)
-        priors += tuple(normal(0.0, 2.0) for _ in range(mean.parameter_count - 1))
-    else:
-        priors = tuple(normal(0.0, 5.0) for _ in range(mean.parameter_count))
-    priors += (_scale_prior(),)
-    return ModelSpec(
-        mean=mean,
-        variance=VarianceFunctionSpec("constant"),
-        priors=priors,
-        truncation=truncation,
-        name=name or form,
-    )
+        return _saturating(model)
+    return model
 
 
-def variance_trend_model(form: str = "true_model") -> ModelSpec:
-    """Mean form with the scale modelled as softplus-linear in the mean."""
-    mean = MeanFunctionSpec(form)
-    priors = (truncated_normal(0.0, 5.0, lower=0.0),)
-    priors += tuple(normal(0.0, 2.0) for _ in range(mean.parameter_count - 1))
-    priors += (normal(0.0, 5.0), normal(0.0, 5.0))
-    return ModelSpec(
-        mean=mean,
+def variance_trend_model() -> ModelSpec:
+    """The true mean form with the scale modelled as softplus-linear in the mean."""
+    return _saturating(ModelSpec(
+        mean=MeanFunctionSpec("true_model"),
         variance=VarianceFunctionSpec("linear_in_mu"),
-        priors=priors,
-        name=f"{form}+scale-trend",
-    )
+        name="true_model+scale-trend",
+    ))
 
 
 def classification_model() -> ModelSpec:

@@ -293,16 +293,9 @@ class PosteriorDraws:
     def n_draws(self) -> int:
         return self.draws.shape[0]
 
-    @property
-    def n_chains(self) -> int:
-        return len(np.unique(self.chain))
-
     def by_chain(self) -> np.ndarray:
         """Draws reshaped to (chains, samples, params); chains must be equal length."""
         return _stack_chains(self.draws, self.chain)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.draws[:, self.parameter_names.index(name)]
 
     # ---------- CSV ----------
 
@@ -772,7 +765,7 @@ def _rank_normalize(col):
 
 
 def _rhat(z):
-    m, n = z.shape
+    n = z.shape[1]
     chain_means = z.mean(axis=1)
     w = z.var(axis=1, ddof=1).mean()
     if w == 0.0:
@@ -790,7 +783,7 @@ def _ess_bulk(z):
     for c in range(m):
         acov[c] = _autocov(z[c])
     w = acov[:, 0].mean() * n / (n - 1)  # within-chain variance, ddof=1
-    b_over_n = z.mean(axis=1).var(ddof=1) if m > 1 else 0.0
+    b_over_n = z.mean(axis=1).var(ddof=1)
     var_hat = (n - 1) / n * w + b_over_n
     if var_hat <= 0.0:
         raise DiagnosticsError("zero pooled variance")

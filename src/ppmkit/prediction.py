@@ -54,7 +54,6 @@ class PredictiveDistribution:
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    level: float
     lower: float
     upper: float
 
@@ -140,7 +139,7 @@ def interval(pred: PredictiveDistribution, level: float = 0.95) -> PredictionInt
         raise ValueError("need at least 100 samples for a stable interval")
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(pred.samples, [tail, 1.0 - tail], method="linear")
-    return PredictionInterval(level=level, lower=float(lo), upper=float(hi))
+    return PredictionInterval(lower=float(lo), upper=float(hi))
 
 
 def prob_exceeds(pred: PredictiveDistribution, threshold: float, direction: str = "above") -> float:
@@ -200,7 +199,7 @@ def classical_interval(
         raise ValueError("level must lie in (0, 1)")
     center, scale, df = _classical_center_scale_df(model, theta_hat, data, x)
     half = special.stdtrit(df, 0.5 + level / 2.0) * scale
-    return PredictionInterval(level=level, lower=float(center - half), upper=float(center + half))
+    return PredictionInterval(lower=float(center - half), upper=float(center + half))
 
 
 def classical_exceedance(
@@ -223,7 +222,6 @@ class WidthTable:
     """Prediction-interval widths per model (plus the average) over a grid."""
 
     x: tuple[float, ...]
-    level: float
     widths: dict[str, tuple[float, ...]]
 
 
@@ -246,4 +244,4 @@ def pi_width_curve(
         for i in range(len(grid))
     ]
     widths["average"] = tuple(interval(p, level).width for p in averaged)
-    return WidthTable(x=grid, level=level, widths=widths)
+    return WidthTable(x=grid, widths=widths)

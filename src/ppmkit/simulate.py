@@ -77,7 +77,6 @@ class Dataset:
     y: np.ndarray
     x_se: np.ndarray | None = None
     y_se: np.ndarray | None = None
-    note: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "x", _readonly(self.x))
@@ -127,25 +126,19 @@ class Dataset:
         return csv_text(list(cols), zip(*cols.values()))
 
     @classmethod
-    def from_csv(cls, path, note: str = "") -> "Dataset":
+    def from_csv(cls, path) -> "Dataset":
         header, values = read_csv_rows(path)
         cols = dict(zip(header, values.T))
         if "y" not in cols:
             raise ValueError(f"{path}, line 1: dataset header {header!r} has no y column")
         if "x" in cols:
-            return cls(
-                x=cols["x"],
-                y=cols["y"],
-                x_se=cols.get("x_se"),
-                y_se=cols.get("y_se"),
-                note=note,
-            )
+            return cls(x=cols["x"], y=cols["y"], x_se=cols.get("x_se"), y_se=cols.get("y_se"))
         feature_names = sorted((n for n in cols if n[:1] == "x" and n[1:].isdigit()),
                                key=lambda n: int(n[1:]))
         if not feature_names:
             raise ValueError(f"{path}, line 1: dataset header {header!r} has no x column")
         x = np.column_stack([cols[n] for n in feature_names])
-        return cls(x=x, y=cols["y"], note=note)
+        return cls(x=x, y=cols["y"])
 
 
 def true_mean(x, theta1: float, theta2: float):
@@ -178,8 +171,7 @@ def simulate_dataset(
         x = np.linspace(0.0, 1.0, n)
     mu = true_mean(x, theta1, theta2)
     y = mu + sigma * rng.standard_normal(n)
-    mode = "random-x" if random_x else "grid-x"
-    return Dataset(x=x, y=y, note=f"saturating-curve n={n} {mode} seed={seed}")
+    return Dataset(x=x, y=y)
 
 
 def subsample_every_kth(data: Dataset, k: int) -> Dataset:
@@ -194,7 +186,6 @@ def subsample_every_kth(data: Dataset, k: int) -> Dataset:
         y=data.y[idx],
         x_se=None if data.x_se is None else data.x_se[idx],
         y_se=None if data.y_se is None else data.y_se[idx],
-        note=f"{data.note} subsample-k={k}".strip(),
     )
 
 
@@ -214,4 +205,4 @@ def simulate_classification(
     x = rng.uniform(-3.0, 3.0, (n, 2))
     p = expit(t0 + t1 * x[:, 0] + t2 * x[:, 1])
     y = (rng.random(n) < p).astype(float)
-    return Dataset(x=x, y=y, note=f"logistic-plane n={n} seed={seed}")
+    return Dataset(x=x, y=y)

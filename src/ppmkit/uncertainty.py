@@ -73,14 +73,14 @@ def generate_datasets(data: Dataset, m: int, rng: np.random.Generator) -> list[D
     if m < 1:
         raise ValueError("m must be >= 1")
     out = []
-    for i in range(m):
+    for _ in range(m):
         x = data.x
         y = data.y
         if data.x_se is not None:
             x = x + data.x_se * rng.standard_normal(x.shape)
         if data.y_se is not None:
             y = y + data.y_se * rng.standard_normal(y.shape)
-        out.append(Dataset(x=x, y=y, note=f"{data.note} generated#{i}".strip()))
+        out.append(Dataset(x=x, y=y))
     return out
 
 
@@ -173,7 +173,6 @@ class BoundaryBand:
     x1: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    level: float
 
     def widths(self) -> np.ndarray:
         return np.asarray(self.upper) - np.asarray(self.lower)
@@ -209,5 +208,4 @@ def decision_boundary_band(
         x1=tuple(float(v) for v in np.asarray(grid, dtype=float)),
         lower=tuple(lower),
         upper=tuple(upper),
-        level=level,
     )

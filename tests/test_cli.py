@@ -405,9 +405,30 @@ class TestPredict:
         assert rc == 0
         results = json.loads(summary.read_text())["results"]
         assert [r["x"] for r in results] == [0.0, 0.5, 1.0] * 2
+        # the two results at each x are told apart by the same labels as the widths
+        assert [r["model"] for r in results] == ["true_model"] * 3 + ["true_model#1"] * 3
         with open(widths, newline="") as fh:
             names = [r["model"] for r in csv.DictReader(fh)]
         assert names == ["true_model"] * 3 + ["true_model#1"] * 3 + ["average"] * 3
+
+    def test_repeated_model_average_names_each_copy(self, workdir, tmp_path):
+        draws, out = str(workdir / "draws.csv"), tmp_path / "s.json"
+        rc = main(["predict", "--draws", draws, "--draws", draws,
+                   "--model", str(workdir / "model.json"), "--x", "0.5",
+                   "--out-summary", str(out)])
+        assert rc == 0
+        labels = [r["model"] for r in json.loads(out.read_text())["results"]]
+        assert labels == ["true_model", "true_model#1", "average(true_model, true_model#1)"]
+
+    def test_x_with_grid_is_usage_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        rc = main(["predict", "--draws", str(workdir / "draws.csv"),
+                   "--model", str(workdir / "model.json"), "--x", "0.5", "--grid", "0:1:2",
+                   "--out-summary", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--x" in err and "--grid" in err
+        assert not out.exists()
 
     def test_missing_query_is_usage_error(self, workdir, tmp_path):
         rc = main(["predict", "--draws", str(workdir / "draws.csv"),

@@ -313,7 +313,7 @@ class TestFit:
         cfg = FitConfig(chains=3, warmup=50, samples=40, seed=0)
         draws = fit(true_model_spec(), data, cfg)
         assert draws.draws.shape == (120, 3)
-        assert draws.n_chains == 3
+        assert len(np.unique(draws.chain)) == 3
         counts = np.bincount(draws.chain)
         assert np.all(counts == 40)
 
@@ -384,8 +384,9 @@ class TestFit:
         for rep in range(5):
             small = simulate_dataset(100, seed=100 + rep)
             big = simulate_dataset(200, seed=200 + rep)
-            sds_small.append(fit(true_model_spec(), small, cfg).column("theta1").std(ddof=1))
-            sds_big.append(fit(true_model_spec(), big, cfg).column("theta1").std(ddof=1))
+            for sds, data in ((sds_small, small), (sds_big, big)):
+                draws = fit(true_model_spec(), data, cfg)
+                sds.append(draws.draws[:, draws.parameter_names.index("theta1")].std(ddof=1))
         assert np.mean(sds_big) <= np.mean(sds_small) * 1.10
 
 
@@ -410,7 +411,8 @@ class TestUnconstrainedSampling:
         model = bounded_model(BOUNDED_THETA1[bounds])
         draws = fit(model, simulate_dataset(40, seed=4),
                     FitConfig(chains=2, warmup=400, samples=400, seed=1))
-        theta1, sigma = draws.column("theta1"), draws.column("sigma")
+        theta1, sigma = (draws.draws[:, draws.parameter_names.index(name)]
+                         for name in ("theta1", "sigma"))
         assert np.all(theta1 > 0.0) and np.all(sigma > 0.0)
         if bounds == "two-sided":
             assert np.all(theta1 < 2.0)
@@ -607,7 +609,7 @@ class TestVarianceTrend:
         draws = fit(model, data, FitConfig(chains=2, warmup=1500, samples=800, thin=3, seed=7))
         # the generator's scale rises with the mean; the fitted trend
         # coefficient should be decisively positive
-        slope = draws.column("sigma1")
+        slope = draws.draws[:, draws.parameter_names.index("sigma1")]
         assert np.quantile(slope, 0.05) > 0.0
 
 
