@@ -51,7 +51,8 @@ _NEG_INF = float("-inf")
 
 
 class FitError(RuntimeError):
-    """Raised when sampling or optimization fails; may carry diagnostics."""
+    """Raised when sampling fails, or when no prior draw has a finite log
+    posterior to start a chain or a plug-in ascent from; may carry diagnostics."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -658,42 +659,82 @@ def fit_ensemble(
 
 
 _PLUG_IN_RESTARTS = 12
+_STENCIL_H = 1e-4  # central-difference step on the unconstrained space
+_HALVINGS = 10  # a Newton iteration scores the step lengths 1, 1/2, ..., 2**-9
+_NEWTON_ITERS = 100
+_MIN_GAIN = 1e-10  # a start stops once its Newton step promises or gains no more
+_EIG_FLOOR = 1e-8  # least curvature a Newton step divides by
+
+
+def _stencil(density, u):
+    """Value, central-difference gradient and Hessian of ``density`` at each
+    row of ``u`` (m, k): (m,), (m, k) and (m, k, k), from one density call over
+    1 + 2k + 2k(k - 1) points per row, with step ``_STENCIL_H``.  The Hessian
+    uses every point, so a row with a non-finite point gets a non-finite one."""
+    m, k = u.shape
+    h = _STENCIL_H
+    e = h * np.eye(k)
+    i, j = np.triu_indices(k, 1)
+    offsets = np.concatenate([np.zeros((1, k)), e, -e, e[i] + e[j], e[i] - e[j],
+                              e[j] - e[i], -e[i] - e[j]])
+    f = density((u[:, None, :] + offsets).reshape(-1, k)).reshape(m, -1)
+    f0, fp, fm = f[:, :1], f[:, 1:k + 1], f[:, k + 1:2 * k + 1]
+    fpp, fpm, fmp, fmm = np.split(f[:, 2 * k + 1:], 4, axis=1)
+    hess = np.empty((m, k, k))
+    with np.errstate(all="ignore"):
+        grad = (fp - fm) / (2 * h)
+        hess[:, np.arange(k), np.arange(k)] = (fp - 2 * f0 + fm) / h**2
+        hess[:, i, j] = hess[:, j, i] = (fpp - fpm - fmp + fmm) / (4 * h**2)
+    return f0[:, 0], grad, hess
 
 
 def plug_in_fit(model: ModelSpec, data: Dataset, seed: int = 0) -> np.ndarray:
-    """Maximum a-posteriori point estimate by multi-start bounded L-BFGS-B.
+    """Maximum a-posteriori point estimate by multi-start damped Newton ascent.
 
-    ``_PLUG_IN_RESTARTS`` starts are drawn from the priors; each gets one
-    L-BFGS-B search inside the priors' own bounds (``DistributionSpec.lower``
-    and ``upper``), and the best optimum is kept.  Each finite-difference
-    gradient scores all of its points in one draw-matrix call.  Deterministic
-    for a given seed.
+    ``_PLUG_IN_RESTARTS`` starts are drawn from the priors and mapped to the
+    unconstrained space of :class:`_Unconstrained`, where each climbs
+    ``log_posterior`` (no Jacobian, so the optimum is the mode in the
+    parameters, inside the priors' bounds).  Every iteration takes the
+    derivatives of all moving starts from one :func:`_stencil` call, and
+    scores ``_HALVINGS`` lengths of each start's Newton step, whose Hessian
+    eigenvalues are made positive, in one more call; a start moves to its best
+    length only when that gains.  A start stops when its step promises or gains
+    at most ``_MIN_GAIN``, or its stencil is not finite.  The best start's
+    parameters are returned.  Deterministic for a given seed.
     """
-    # imported here, its one use: scipy.optimize (with scipy.linalg and
-    # scipy.sparse) adds about a third to every command's cold start
-    from scipy import optimize
-
     rng = np.random.default_rng(seed)
-    bounds = [(p.lower, p.upper) for p in model.priors]
+    space = _Unconstrained(model, data)
 
-    def objective(theta):
-        """Negative log posterior of a vector or of each row of a draw matrix;
-        1e100 stands in for +inf, which L-BFGS-B cannot take."""
-        lp = log_posterior(model, data, theta)
-        return np.where(np.isfinite(lp), -lp, 1e100)
+    def density(u):
+        return log_posterior(model, data, space.constrain(u)[0])
 
-    # L-BFGS-B maps its function over the difference points with ``workers``
-    options = {"workers": lambda _, points: objective(np.array(list(points)))}
-    best_theta, best_val = None, np.inf
-    for _ in range(_PLUG_IN_RESTARTS):
-        start = _init_from_priors(model, data, [rng])[0][0]
-        res = optimize.minimize(lambda theta: float(objective(theta)), start,
-                                method="L-BFGS-B", bounds=bounds, options=options)
-        if res.fun < best_val:
-            best_theta, best_val = res.x, res.fun
-    if best_val >= 1e100:
-        raise FitError("plug-in optimization failed to find a finite posterior mode")
-    return np.asarray(best_theta, dtype=float)
+    u = space.unconstrain(np.concatenate(
+        [_init_from_priors(model, data, [rng])[0] for _ in range(_PLUG_IN_RESTARTS)]))
+    lp = np.empty(len(u))
+    lengths = 0.5 ** np.arange(_HALVINGS)[:, None]
+    moving = np.arange(len(u))
+    for _ in range(_NEWTON_ITERS):
+        lp[moving], grad, hess = _stencil(density, u[moving])
+        finite = np.isfinite(hess).all(axis=(1, 2))
+        moving, grad, hess = moving[finite], grad[finite], hess[finite]
+        w, v = np.linalg.eigh(-hess)
+        step = np.einsum("mij,mj->mi", v, np.einsum("mij,mi->mj", v, grad)
+                         / np.maximum(np.abs(w), _EIG_FLOOR))
+        # where the Hessian is negative definite, a Newton step gains about grad . step / 2
+        promising = np.einsum("mi,mi->m", grad, step) > 2 * _MIN_GAIN
+        moving, step = moving[promising], step[promising]
+        if moving.size == 0:
+            break
+        trial = u[moving, None, :] + lengths * step[:, None, :]
+        trial_lp = density(trial.reshape(-1, u.shape[1])).reshape(len(moving), _HALVINGS)
+        at = np.arange(len(moving)), np.argmax(trial_lp, axis=1)
+        moved = trial_lp[at] - lp[moving] > _MIN_GAIN
+        u[moving[moved]], lp[moving[moved]] = trial[at][moved], trial_lp[at][moved]
+        moving = moving[moved]
+        if moving.size == 0:
+            break
+    best = np.argmax(lp)
+    return space.constrain(u[best:best + 1])[0][0]
 
 
 # --------------------------------------------------------------------- #

@@ -64,13 +64,14 @@ def test_cold_import_leaves_scipy_stats_unloaded():
     assert _fresh_python(code) == "False False"
 
 
-def test_plug_in_fit_loads_scipy_optimize_on_first_use():
+def test_plug_in_fit_leaves_scipy_optimize_unloaded():
     code = ("import sys, ppmkit; from ppmkit import demo; "
             "model, data = demo.regression_model('true_model'), demo.simulate_dataset(40, seed=4); "
             "before = 'scipy.optimize' in sys.modules; "
             "theta = ppmkit.plug_in_fit(model, data, seed=0); "
-            "print(before, 'scipy.optimize' in sys.modules, theta.shape)")
-    assert _fresh_python(code) == "False True (3,)"
+            "print(before, 'scipy.optimize' in sys.modules, theta.shape); "
+            "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)")
+    assert _fresh_python(code) == "False False (3,)\nFalse False"
 
 
 class TestSimulate:

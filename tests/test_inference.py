@@ -772,6 +772,45 @@ class TestPlugInFit:
         assert theta[0] <= 2.0
         assert theta[0] == pytest.approx(2.0, abs=1e-6)
 
+    # log posteriors that a multi-start bounded L-BFGS-B search (scipy.optimize)
+    # reached at seed 0, recorded as references
+    @pytest.mark.parametrize("kind, reference", [
+        ("quadratic", 81.3788817403985),
+        ("exp2", 71.70055045808591),
+        ("exp3", 84.42792520720879),
+        ("true_model", 83.79853276445046),
+        ("michaelis_menten", 76.18710350427303),
+        ("scale-trend", 61.841568805243114),
+        ("logistic", -114.83001223636738),
+        ("student_t", 79.78640462036539),
+    ])
+    def test_mode_matches_the_lbfgsb_reference(self, kind, reference):
+        model, data = density_case(kind)
+        assert log_posterior(model, data, plug_in_fit(model, data, seed=0)) >= reference - 1e-8
+
+    @pytest.mark.parametrize("form, mode", [("true_model", 82.41223840333053),
+                                            ("michaelis_menten", 74.80080914315523)])
+    def test_mode_found_under_an_unbounded_scale_prior(self, form, mode):
+        # sigma ~ Normal(0, 2) with no bound: the log posterior is -inf at sigma <= 0
+        model = ModelSpec(mean=MeanFunctionSpec(form), variance=VarianceFunctionSpec("constant"),
+                          priors=(normal(0.0, 5.0), normal(0.0, 2.0), normal(0.0, 2.0)))
+        data = demo.running_example()
+        lp = [log_posterior(model, data, plug_in_fit(model, data, seed=s)) for s in range(20)]
+        assert min(lp) >= mode - 1e-8
+
+    def test_stencil_differences_a_quadratic_and_flags_infinite_points(self):
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+        def density(u):  # -0.5 u'Au, and -inf where u0 < 0
+            return np.where(u[:, 0] < 0.0, -np.inf, -0.5 * np.einsum("mi,ij,mj->m", u, a, u))
+
+        u = np.array([[1.0, -2.0], [0.5 * inference._STENCIL_H, 3.0]])
+        value, grad, hess = inference._stencil(density, u)
+        np.testing.assert_allclose(value[0], -0.5 * u[0] @ a @ u[0])
+        np.testing.assert_allclose(grad[0], -a @ u[0], rtol=1e-8)
+        np.testing.assert_allclose(hess[0], -a, rtol=1e-5)
+        assert np.isfinite(value[1]) and not np.isfinite(hess[1]).all()
+
 
 class TestDiagnostics:
     def _draws_from_chains(self, chains, names=("a",)):
