@@ -21,7 +21,9 @@ so warmup adapts its scales between runs of ``_RUN`` sweeps or steps.
 ``c`` draws only from ``Generator(master_seed + c)``, so its draws do not
 depend on the other chains.  ``fit`` diagnoses the (chains, samples,
 params) stack of its chains once; draws read from CSV carry no
-diagnostics, and :func:`diagnostics` computes them on request.
+diagnostics, and :func:`diagnostics` computes them on request.  The split,
+rank normalisation, split R-hat and bulk ESS each run once over a
+(params, 2 * chains, samples // 2) array, not once per parameter.
 """
 
 from __future__ import annotations
@@ -753,22 +755,23 @@ def compute_diagnostics(draws, chain, names, acceptance=()):
     stacked = np.asarray(draws) if chain is None else _stack_chains(draws, chain)
     if stacked.shape[0] < 2:
         raise DiagnosticsError("need at least 2 chains")
-    r_hat, ess, flagged = {}, {}, []
-    for j, name in enumerate(names):
-        col = stacked[:, :, j]
-        if not np.isfinite(col).all():
-            raise DiagnosticsError(f"parameter {name!r} has a non-finite draw")
-        if np.allclose(col, col.flat[0], rtol=0.0, atol=0.0):
-            raise DiagnosticsError(f"parameter {name!r} is constant across all draws")
-        z = _rank_normalize(_split_chains(col))
-        r = _rhat(z)
-        r_hat[name] = r
-        ess[name] = _ess_bulk(z)
-        if r > 1.01:
-            flagged.append(name)
+    x = np.moveaxis(stacked, 2, 0)  # (params, chains, samples)
+    finite = np.isfinite(x).all(axis=(1, 2))
+    bad = ~finite | (x == x[:, :1, :1]).all(axis=(1, 2))
+    if bad.any():
+        j = int(np.argmax(bad))
+        fault = "is constant across all draws" if finite[j] else "has a non-finite draw"
+        raise DiagnosticsError(f"parameter {names[j]!r} {fault}")
+    n = x.shape[2]
+    if n < 4:
+        raise DiagnosticsError("need at least 4 draws per chain")
+    # split chains: each chain's first and last n // 2 draws, dropping an odd middle one
+    z = _rank_normalize(np.concatenate([x[:, :, :n // 2], x[:, :, n - n // 2:]], axis=1))
+    r_hat = _rhat(z)
     return Diagnostics(
-        r_hat=r_hat, ess=ess, acceptance=tuple(acceptance), flagged=tuple(flagged)
-    )
+        r_hat=dict(zip(names, r_hat.tolist())), ess=dict(zip(names, _ess_bulk(z).tolist())),
+        acceptance=tuple(acceptance),
+        flagged=tuple(name for name, r in zip(names, r_hat) if r > 1.01))
 
 
 def _stack_chains(draws, chain):
@@ -779,78 +782,57 @@ def _stack_chains(draws, chain):
     return np.stack([np.asarray(draws)[chain == c] for c in labels])
 
 
-def _split_chains(col):
-    """(chains, samples) -> (2*chains, samples//2), dropping an odd tail."""
-    m, n = col.shape
-    if n < 4:
-        raise DiagnosticsError("need at least 4 draws per chain")
-    half = n // 2
-    return np.vstack([col[:, :half], col[:, n - half:]])
-
-
-def _rank_normalize(col):
-    """Pooled fractional ranks mapped through the normal quantile function
-    (Vehtari et al. 2021): tied values share their average rank, and the rank
-    r of N values maps to ``ndtri((r - 3/8) / (N + 1/4))``.  Average ranks
-    are whole numbers or halves, so they are exact in float64."""
-    flat = col.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    s = flat[order]
-    first = np.concatenate(([True], s[1:] != s[:-1]))  # opens a tie group
-    dense = np.cumsum(first)  # 1-based tie group of each sorted value
-    count = np.append(np.flatnonzero(first), flat.size)  # values below each group
-    ranks = np.empty(flat.size)
-    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
-    z = special.ndtri((ranks - 3.0 / 8.0) / (flat.size + 0.25))
-    return z.reshape(col.shape)
+def _rank_normalize(x):
+    """Fractional ranks pooled over the last two axes of ``x``, mapped through the
+    normal quantile function (Vehtari et al. 2021): tied values share their
+    average rank, and the rank r of N values maps to ``ndtri((r - 3/8) / (N + 1/4))``.
+    Average ranks are whole numbers or halves, so they are exact in float64."""
+    rows = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    order = np.argsort(rows, kind="stable")
+    s = np.take_along_axis(rows, order, axis=1)
+    first = np.ones(s.shape, dtype=bool)  # opens a tie group, as does each row's first value
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    dense = np.cumsum(first).reshape(s.shape)  # 1-based tie group of each sorted value
+    count = np.append(np.flatnonzero(first), s.size)  # values below each group, over all rows
+    offset = np.arange(0, s.size, s.shape[1])[:, None]  # values in the rows before
+    ranks = np.empty(s.shape)
+    np.put_along_axis(ranks, order, 0.5 * (count[dense] + count[dense - 1] + 1) - offset, axis=1)
+    return special.ndtri((ranks - 3.0 / 8.0) / (s.shape[1] + 0.25)).reshape(x.shape)
 
 
 def _rhat(z):
-    n = z.shape[1]
-    chain_means = z.mean(axis=1)
-    w = z.var(axis=1, ddof=1).mean()
-    if w == 0.0:
+    """Split R-hat of each parameter of a (params, chains, draws) array."""
+    n = z.shape[-1]
+    w = z.var(axis=-1, ddof=1).mean(axis=-1)
+    if (w == 0.0).any():
         raise DiagnosticsError("zero within-chain variance")
-    b = n * chain_means.var(ddof=1)
+    b = n * z.mean(axis=-1).var(axis=-1, ddof=1)
     var_hat = (n - 1) / n * w + b / n
     # sampling noise can push the estimate below 1; clamp to the floor
-    return float(max(1.0, math.sqrt(var_hat / w)))
+    return np.maximum(1.0, np.sqrt(var_hat / w))
 
 
 def _ess_bulk(z):
-    """Effective sample size via per-chain FFT autocovariance and Geyer pairing."""
-    m, n = z.shape
-    acov = np.empty((m, n))
-    for c in range(m):
-        acov[c] = _autocov(z[c])
-    w = acov[:, 0].mean() * n / (n - 1)  # within-chain variance, ddof=1
-    b_over_n = z.mean(axis=1).var(ddof=1)
-    var_hat = (n - 1) / n * w + b_over_n
-    if var_hat <= 0.0:
-        raise DiagnosticsError("zero pooled variance")
-    rho = 1.0 - (w - acov.mean(axis=0)) / var_hat
-    rho[0] = 1.0
-    # Geyer initial monotone positive sequence on paired autocorrelation sums
-    tau_sum = 0.0
-    prev_pair = np.inf
-    k = 0
-    while 2 * k + 1 < n:
-        pair = rho[2 * k] + rho[2 * k + 1]
-        if pair <= 0.0:
-            break
-        pair = min(pair, prev_pair)
-        tau_sum += pair
-        prev_pair = pair
-        k += 1
-    tau = max(2.0 * tau_sum - 1.0, 1e-3)
-    total = m * n
-    return float(min(total / tau, total * math.log10(max(total, 10))))
-
-
-def _autocov(x):
-    n = x.size
-    xc = x - x.mean()
+    """Bulk ESS of each parameter of a (params, chains, draws) array, from per-chain
+    FFT autocovariances and Geyer's initial monotone sequence."""
+    m, n = z.shape[-2:]
     size = 2 ** math.ceil(math.log2(2 * n))
-    f = np.fft.rfft(xc, size)
-    acov = np.fft.irfft(f * np.conj(f), size)[:n].real / n
-    return acov
+    # one transform per (parameter, chain) row: one along the whole array's last
+    # axis rounds differently
+    centred = (z - z.mean(axis=-1, keepdims=True)).reshape(-1, n)
+    spectra = (np.fft.rfft(row, size) for row in centred)
+    acov = np.array([np.fft.irfft(f * np.conj(f), size)[:n] for f in spectra]).reshape(z.shape) / n
+    w = acov[..., 0].mean(axis=-1) * n / (n - 1)  # within-chain variance, ddof=1
+    var_hat = (n - 1) / n * w + z.mean(axis=-1).var(axis=-1, ddof=1)
+    if (var_hat <= 0.0).any():
+        raise DiagnosticsError("zero pooled variance")
+    rho = 1.0 - (w[..., None] - acov.mean(axis=-2)) / var_hat[..., None]
+    rho[..., 0] = 1.0
+    # Geyer: the paired autocorrelation sums up to the first that is not
+    # positive, each lowered to the least before it, summed left to right
+    pairs = rho[..., 0:n - 1:2] + rho[..., 1:n:2]
+    kept = np.logical_and.accumulate(pairs > 0.0, axis=-1)
+    monotone = np.where(kept, np.minimum.accumulate(pairs, axis=-1), 0.0)
+    tau = np.maximum(2.0 * monotone.cumsum(axis=-1)[..., -1] - 1.0, 1e-3)
+    total = m * n
+    return np.minimum(total / tau, total * math.log10(max(total, 10)))

@@ -74,8 +74,13 @@ def _predictive_samples(model: ModelSpec, theta, x, per_draw, rng):
                          "predictive sampling takes one scalar query")
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     rows = theta.shape[0]
-    mu = np.broadcast_to(np.atleast_1d(model.mu(theta, x)), (rows,))
-    sigma = model.sigma(theta, mu)
+    with np.errstate(all="ignore"):  # a non-finite mean or scale is refused below
+        mu = np.broadcast_to(np.atleast_1d(model.mu(theta, x)), (rows,))
+        sigma = model.sigma(theta, mu)
+    finite = np.isfinite(mu) if sigma is None else np.isfinite(mu) & np.isfinite(sigma)
+    if not finite.all():
+        query = float(np.broadcast_to(x, (rows,))[np.argmin(finite)])
+        raise ValueError(f"model {model.name!r} has a non-finite mean or scale at x = {query!r}")
     if sigma is not None:
         if np.any(sigma <= 0.0):
             raise ValueError("model scale must be positive at every draw")

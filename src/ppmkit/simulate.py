@@ -162,6 +162,8 @@ def simulate_dataset(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not np.isfinite([theta1, theta2, sigma]).all():
+        raise ValueError("theta1, theta2 or sigma has a non-finite value")
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     rng = np.random.default_rng(seed)

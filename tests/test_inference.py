@@ -866,12 +866,54 @@ class TestDiagnostics:
         elif case == "all_but_one_tied":
             col = np.full((chains, samples), 0.25)
             col[2, 17] = -3.0
-        split = inference._split_chains(col)
+        split = np.concatenate([col[:, :samples // 2], col[:, samples // 2:]])
         assert split.shape == (2 * chains, samples // 2)
         flat = split.reshape(-1)
         ref = stats.norm.ppf((stats.rankdata(flat, method="average") - 3.0 / 8.0)
                              / (flat.size + 0.25)).reshape(split.shape)
         assert np.array_equal(inference._rank_normalize(split), ref)
+
+    # split R-hat, bulk ESS and flagged names as the per-parameter code computed them,
+    # to the bit: an (m, n, k) stack of AR(1) chains from a seed, with an AR coefficient
+    PINNED = {
+        "min_2x4": ((2, 4, 2), 21, 0.5, {"p0": 1.0, "p1": 1.8602846212026998},
+                    {"p0": 8.0, "p1": 3.512478192347912}, ("p1",)),
+        "odd_3x101": ((3, 101, 2), 22, 0.7, {"p0": 1.0841906556626453, "p1": 1.0172989844748095},
+                      {"p0": 55.852945471179844, "p1": 64.06976281309753}, ("p0", "p1")),
+        "heavy_ties": ((4, 200, 2), 23, 0.5,
+                       {"p0": 1.0122675364044844, "p1": 1.0135695441769468},
+                       {"p0": 312.17895476750397, "p1": 292.25245132812137}, ("p0", "p1")),
+        "eight_chains": ((8, 250, 3), 24, 0.9,
+                         {"p0": 1.0541688930031425, "p1": 1.1582167595403352,
+                          "p2": 1.0993241623513152},
+                         {"p0": 142.93206653471788, "p1": 38.33222561861981,
+                          "p2": 94.57014259968676}, ("p0", "p1", "p2")),
+        "default_fit": (None, 1, None,
+                        {"p0": 1.0023551809767517, "p1": 1.000066436216403,
+                         "p2": 1.0004349908277588},
+                        {"p0": 1354.6201786810127, "p1": 1366.4785923557515,
+                         "p2": 1283.0168976157106}, ()),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_diagnostics_bits_are_pinned_and_scale_free(self, case):
+        shape, seed, phi, r_hat, ess, flagged = self.PINNED[case]
+        if shape is None:  # the chains of a default fit
+            stack = fit(demo.regression_model("true_model"), demo.running_example(),
+                        FitConfig(seed=seed)).by_chain()
+        else:
+            stack = np.random.default_rng(seed).standard_normal(shape)
+            for t in range(1, shape[1]):
+                stack[:, t] += phi * stack[:, t - 1]
+        if case == "heavy_ties":
+            stack = np.round(stack, 1)
+        if case == "eight_chains":  # one chain sits off in the last parameter
+            stack[5, :, 2] += 1.0
+        names = tuple(f"p{j}" for j in range(stack.shape[2]))
+        out = compute_diagnostics(stack, None, names)
+        assert (out.r_hat, out.ess, out.flagged) == (r_hat, ess, flagged)
+        # only ranks enter, and scaling by a power of two is exact
+        assert compute_diagnostics(stack * 2.0**-7, None, names) == out
 
     def test_single_chain_error(self):
         rng = np.random.default_rng(3)

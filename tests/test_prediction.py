@@ -9,18 +9,21 @@ from scipy import stats
 
 from ppmkit import (
     FitConfig,
+    MeasuredValue,
     MeanFunctionSpec,
     ModelSpec,
     PosteriorDraws,
     PredictiveDistribution,
     VarianceFunctionSpec,
     average_predictions,
+    demo,
     fit,
     interval,
     pi_width_curve,
     plug_in_predictive,
     posterior_predictive,
     prob_exceeds,
+    propagate_test_error,
     simulate_dataset,
 )
 from ppmkit.prediction import classical_exceedance, classical_interval
@@ -48,6 +51,19 @@ def degenerate_draws(theta, n=2000):
 
 def ks_two_sample(a, b):
     return stats.ks_2samp(a, b).statistic
+
+
+@pytest.mark.parametrize("predict", [
+    lambda model, draws: posterior_predictive(model, draws, -1000.0),
+    lambda model, draws: plug_in_predictive(model, draws.draws[0], -1000.0),
+    lambda model, draws: propagate_test_error(model, draws, MeasuredValue(-1000.0, 0.5)),
+], ids=["posterior", "plug_in", "noisy_input"])
+def test_non_finite_predictive_mean_is_refused_naming_model_and_query(predict):
+    # exp2's mean overflows to -inf far left of the data
+    draws = PosteriorDraws(draws=np.tile([3.0, 1.0, 0.1], (10, 1)), chain=np.repeat([0, 1], 5),
+                           parameter_names=("theta1", "theta2", "sigma"))
+    with pytest.raises(ValueError, match=r"model 'exp2' has a non-finite mean or scale at x = -"):
+        predict(demo.regression_model("exp2"), draws)
 
 
 class TestPosteriorPredictive:

@@ -174,6 +174,12 @@ class TestSimulateDataset:
         with pytest.raises(ValueError):
             simulate_dataset(0)
 
+    @pytest.mark.parametrize("name", ["theta1", "theta2", "sigma"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameter_refused_up_front(self, name, value):
+        with pytest.raises(ValueError, match="theta1, theta2 or sigma has a non-finite value"):
+            simulate_dataset(10, **{name: value})
+
 
 class TestSubsample:
     def test_every_eighth_of_hundred(self):
