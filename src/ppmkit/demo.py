@@ -7,7 +7,7 @@ priors on amplitude terms: the flat defaults admit mirror modes
 (negative rate with negative amplitude) and a low-rate ridge that
 componentwise random-walk chains cannot cross in reasonable time.
 
-Every demo kind but exp3 fits at the ``FitConfig`` defaults (:func:`fit_settings`).
+Every demo kind fits at the ``FitConfig`` defaults (:func:`fit_settings`).
 """
 
 from __future__ import annotations
@@ -106,12 +106,14 @@ def candidate_models() -> list[ModelSpec]:
 
 
 def fit_settings(kind: str, seed: int, fast: bool = False) -> FitConfig:
-    """Sampler settings for a demo model kind: ``FitConfig(seed=seed)`` for every
-    kind but exp3; ``fast`` shrinks them for smoke runs where only determinism
-    matters."""
+    """Sampler settings for a demo model kind: ``FitConfig(seed=seed)``, which
+    ``fast`` shrinks for smoke runs where only determinism matters.
+
+    Every kind fits at the same setting since exp2 and exp3 are sampled by
+    their rise (see ``inference._Unconstrained``).  ``kind`` has no reader,
+    but the benchmark harness passes it positionally, so it stays until the
+    benchmark's next change."""
     cfg = FitConfig(seed=seed)
-    if kind == "exp3":  # its theta1 -> 0 ridge needs longer, thinner chains
-        cfg = replace(cfg, warmup=4000, samples=2000, thin=8)
     if fast:
         cfg = replace(cfg, warmup=max(cfg.warmup // 10, 50),
                       samples=max(cfg.samples // 10, 50), thin=1)

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import pickle
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,14 +341,16 @@ class TestFit:
         assert draws.draws.shape == (120, 3)
 
     def test_exp3_converges_at_its_preset(self):
+        # the long setting exp3 used before it was sampled by its rise
         draws = fit(demo.regression_model("exp3"), demo.running_example(),
-                    demo.fit_settings("exp3", 1009))
+                    FitConfig(warmup=4000, samples=2000, thin=8, seed=1009))
         assert draws.diagnostics.max_r_hat() <= 1.01
         assert min(draws.diagnostics.ess.values()) >= 400
 
-    @pytest.mark.parametrize("kind", ["quadratic", "exp2", "true_model", "michaelis_menten",
-                                      "scale-trend", "logistic", "quadratic-sub"])
-    def test_every_kind_but_exp3_converges_at_the_default(self, kind):
+    @pytest.mark.parametrize("kind", ["quadratic", "exp2", "exp3", "true_model",
+                                      "michaelis_menten", "scale-trend", "logistic",
+                                      "quadratic-sub"])
+    def test_every_kind_converges_at_the_default(self, kind):
         # quadratic-sub is the report's every-8th-row subsample, the thinnest margin
         if kind == "logistic":
             model = demo.classification_model()
@@ -449,6 +452,54 @@ class TestUnconstrainedSampling:
         assert matrix.shape == (m,)
         assert np.isneginf(matrix[0])
         np.testing.assert_array_equal(matrix, [density(row[None])[0] for row in u])
+
+
+class TestRiseCoordinate:
+    """exp2 and exp3 sample theta2 by the rise ``theta2 * (1 - exp(-theta1))``."""
+
+    @pytest.mark.parametrize("form", ["exp2", "exp3"])
+    def test_log_jacobian_is_the_log_determinant_of_the_map(self, form):
+        density = _Unconstrained(demo.regression_model(form), demo.running_example())
+        k = density.model.n_params
+        u = np.random.default_rng(5).normal(0.0, 1.5, size=(5, k))
+        theta, log_jac = density.constrain(u)
+        h = 1e-6
+        for row, expected in zip(u, log_jac):
+            # column j: d theta / d u_j, by central differences
+            jac = np.column_stack([
+                (density.constrain((row + h * e)[None])[0][0]
+                 - density.constrain((row - h * e)[None])[0][0]) / (2.0 * h)
+                for e in np.eye(k)])
+            sign, log_det = np.linalg.slogdet(jac)
+            assert sign != 0.0
+            assert log_det == pytest.approx(expected, abs=1e-6)
+        np.testing.assert_allclose(density.constrain(density.unconstrain(theta))[0], theta,
+                                   rtol=1e-12, atol=1e-12)
+        # theta2's coordinate is the rise, not theta2
+        np.testing.assert_allclose(density.unconstrain(theta)[:, 1],
+                                   theta[:, 1] * -np.expm1(-theta[:, 0]), rtol=1e-12)
+
+    def test_theta1_unbounded_below_keeps_the_identity_coordinate(self):
+        # there the divisor -expm1(-theta1) crosses 0
+        exp3 = demo.regression_model("exp3")
+        model = dataclasses.replace(exp3, priors=(normal(0.0, 5.0),) + exp3.priors[1:])
+        density = _Unconstrained(model, demo.running_example())
+        u = np.random.default_rng(6).normal(0.0, 1.5, size=(4, 4))
+        theta = density.constrain(u)[0]
+        np.testing.assert_array_equal(theta[:, 1], u[:, 1])
+        np.testing.assert_array_equal(density.unconstrain(theta)[:, 1], theta[:, 1])
+
+    @pytest.mark.parametrize("form", ["exp2", "exp3"])
+    def test_theta1_at_its_bound_scores_minus_inf_quietly(self, form):
+        density = _Unconstrained(demo.regression_model(form), demo.running_example())
+        u = np.zeros((3, density.model.n_params))
+        u[0, 0] = -800.0  # exp(u) underflows: theta1 is 0, the divisor 0
+        u[1, :2] = -800.0, 0.0  # and the rise 0 too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = density(u)
+        assert np.isneginf(scores[:2]).all()
+        assert np.isfinite(scores[2])
 
 
 def prefetch_case(name):
