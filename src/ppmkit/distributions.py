@@ -32,27 +32,21 @@ _NEG_INF = float("-inf")
 # --------------------------------------------------------------------- #
 
 
-def normal_logpdf(y, mu, sigma, log_sigma=None):
-    """Elementwise Normal(mu, sigma) log-density; broadcasts all arguments.
-    ``log_sigma``, when given, is ``np.log(sigma)`` computed once by the caller."""
+def normal_logpdf(y, mu, sigma):
+    """Elementwise Normal(mu, sigma) log-density; broadcasts all arguments."""
     z = (np.asarray(y, dtype=float) - mu) / sigma
-    if log_sigma is None:
-        log_sigma = np.log(sigma)
-    return -0.5 * z * z - log_sigma - 0.5 * _LOG_2PI
+    return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
 
 
-def student_t_logpdf(y, mu, sigma, df, log_sigma=None):
-    """Elementwise location-scale Student-t log-density; ``log_sigma`` as for
-    :func:`normal_logpdf`."""
+def student_t_logpdf(y, mu, sigma, df):
+    """Elementwise location-scale Student-t log-density; broadcasts all arguments."""
     z = (np.asarray(y, dtype=float) - mu) / sigma
     c = (
         special.gammaln((df + 1.0) / 2.0)
         - special.gammaln(df / 2.0)
         - 0.5 * np.log(df * np.pi)
     )
-    if log_sigma is None:
-        log_sigma = np.log(sigma)
-    return c - log_sigma - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+    return c - np.log(sigma) - 0.5 * (df + 1.0) * np.log1p(z * z / df)
 
 
 def bernoulli_logpmf(y, p):
@@ -74,8 +68,7 @@ def bernoulli_logpmf(y, p):
 @dataclass(frozen=True)
 class Family:
     """An outcome family: ``logpdf``, ``cdf`` and ``ppf`` take ``(y or p, mu, sigma,
-    df)`` and ``sample`` takes ``(mu, sigma, df, rng, size)``, ignoring unused ones;
-    ``logpdf`` also takes ``log_sigma``, the scale's log when the caller has it."""
+    df)`` and ``sample`` takes ``(mu, sigma, df, rng, size)``, ignoring unused ones."""
 
     logpdf: Callable
     cdf: Callable
@@ -87,14 +80,13 @@ class Family:
 
 OUTCOMES = {
     "normal": Family(
-        logpdf=lambda y, mu, sigma, df, log_sigma=None: normal_logpdf(y, mu, sigma, log_sigma),
+        logpdf=lambda y, mu, sigma, df: normal_logpdf(y, mu, sigma),
         cdf=lambda y, mu, sigma, df: special.ndtr((y - mu) / sigma),
         ppf=lambda p, mu, sigma, df: mu + sigma * special.ndtri(p),
         sample=lambda mu, sigma, df, rng, size: mu + sigma * rng.standard_normal(size),
     ),
     "student_t": Family(
-        logpdf=lambda y, mu, sigma, df, log_sigma=None: student_t_logpdf(
-            y, mu, sigma, df, log_sigma),
+        logpdf=lambda y, mu, sigma, df: student_t_logpdf(y, mu, sigma, df),
         cdf=lambda y, mu, sigma, df: special.stdtr(df, (y - mu) / sigma),
         # stdtrit(df, 0) reads +inf, so p == 0 is mapped to -inf explicitly
         ppf=lambda p, mu, sigma, df: mu + sigma * np.where(
@@ -103,7 +95,7 @@ OUTCOMES = {
         has_df=True,
     ),
     "bernoulli": Family(
-        logpdf=lambda y, mu, sigma, df, log_sigma=None: bernoulli_logpmf(y, mu),
+        logpdf=lambda y, mu, sigma, df: bernoulli_logpmf(y, mu),
         cdf=lambda y, mu, sigma, df: np.where(y < 0.0, 0.0, np.where(y < 1.0, 1.0 - mu, 1.0)),
         ppf=lambda p, mu, sigma, df: np.where(p <= 1.0 - mu, 0.0, 1.0),
         sample=lambda mu, sigma, df, rng, size: (rng.random(size) < mu).astype(float),
@@ -211,7 +203,6 @@ class DistributionSpec:
     lower: float | None = None
     upper: float | None = None
     _truncation = None  # not a field: __post_init__ sets it (and _log_mass) when bounded
-    _log_sigma = None  # not a field: np.log(sigma), set by __post_init__ when sigma is
 
     def __post_init__(self):
         if BOUNDED.get(self.family, self.family) not in OUTCOMES:
@@ -234,8 +225,6 @@ class DistributionSpec:
                 raise ValueError(f"student_t requires a finite df > 0, got {self.df}")
         elif self.df is not None:
             raise ValueError("df only applies to student_t")
-        if self.sigma is not None:
-            object.__setattr__(self, "_log_sigma", np.log(self.sigma))
         if self.family in BOUNDED:
             t = _truncate(self._entry, self.mu, self.sigma, None, self.lower, self.upper)
             object.__setattr__(self, "_truncation", t)
@@ -251,7 +240,7 @@ class DistributionSpec:
 
     def log_density(self, y):
         """Natural-log density (or mass) at ``y``; -inf off the support."""
-        out = self._entry.logpdf(y, self.mu, self.sigma, self.df, self._log_sigma)
+        out = self._entry.logpdf(y, self.mu, self.sigma, self.df)
         if self._truncation is not None:
             out = _bounded(np.asarray(y, dtype=float), out, *self._truncation[:2], self._log_mass)
         return float(out) if np.ndim(out) == 0 else out
@@ -303,17 +292,17 @@ class DistributionSpec:
 
 class PriorTable:
     """The priors of a parameter vector, built once: per ``OUTCOMES`` family its
-    columns and ``mu``/``sigma``/``df``/``log_sigma`` vectors, and per column the
+    columns and ``mu``/``sigma``/``df`` vectors, and per column the
     bounds and log mass (+-inf and 0 where untruncated).  It holds family names,
     not :class:`Family` entries, so it pickles."""
 
     def __init__(self, priors):
         families = np.array([BOUNDED.get(p.family, p.family) for p in priors])
-        self.groups = []  # (family, columns or a slice of all, mu, sigma, df, log_sigma)
+        self.groups = []  # (family, columns or a slice of all, mu, sigma, df)
         for family in dict.fromkeys(families.tolist()):
             cols = np.flatnonzero(families == family)
             params = (np.array([getattr(priors[j], key) for j in cols], dtype=float)
-                      for key in ("mu", "sigma", "df", "_log_sigma"))
+                      for key in ("mu", "sigma", "df"))
             self.groups.append((family, slice(None) if cols.size == len(priors) else cols, *params))
         self.lower = np.array([-np.inf if p.lower is None else p.lower for p in priors], float)
         self.upper = np.array([np.inf if p.upper is None else p.upper for p in priors], float)

@@ -21,9 +21,9 @@ so warmup adapts its scales between runs of ``_RUN`` sweeps or steps.
 ``c`` draws only from ``Generator(master_seed + c)``, so its draws do not
 depend on the other chains.  ``fit`` diagnoses the (chains, samples,
 params) stack of its chains once; draws read from CSV carry no
-diagnostics, and :func:`diagnostics` computes them on request.  The split,
-rank normalisation, split R-hat and bulk ESS each run once over a
-(params, 2 * chains, samples // 2) array, not once per parameter.
+diagnostics, and :func:`diagnostics` computes them on request.  The split
+draws, a (params, 2 * chains, samples // 2) array, are ranked by one sort per
+parameter; split R-hat and bulk ESS then run once over the whole array.
 """
 
 from __future__ import annotations
@@ -728,8 +728,7 @@ def plug_in_fit(model: ModelSpec, data: Dataset, seed: int = 0) -> np.ndarray:
     def density(u):
         return log_posterior(model, data, space.constrain(u)[0])
 
-    u = space.unconstrain(np.concatenate(
-        [_init_from_priors(model, data, [rng])[0] for _ in range(_PLUG_IN_RESTARTS)]))
+    u = space.unconstrain(_init_from_priors(model, data, [rng] * _PLUG_IN_RESTARTS)[0])
     lp = np.empty(len(u))
     lengths = 0.5 ** np.arange(_HALVINGS)[:, None]
     moving = np.arange(len(u))
@@ -802,20 +801,18 @@ def _stack_chains(draws, chain):
 
 def _rank_normalize(x):
     """Fractional ranks pooled over the last two axes of ``x``, mapped through the
-    normal quantile function (Vehtari et al. 2021): tied values share their
-    average rank, and the rank r of N values maps to ``ndtri((r - 3/8) / (N + 1/4))``.
-    Average ranks are whole numbers or halves, so they are exact in float64."""
+    normal quantile function (Vehtari et al. 2021): the rank r of N values maps to
+    ``ndtri((r - 3/8) / (N + 1/4))``.  Each parameter row is sorted once into ``s``,
+    and a value v has ``searchsorted(s, v, "left")`` values below it and ``"right"``
+    at or below it, so tied values share their average rank, half the sum plus 1/2:
+    a whole number or a half, exact in float64."""
     rows = x.reshape(-1, x.shape[-2] * x.shape[-1])
-    order = np.argsort(rows, kind="stable")
-    s = np.take_along_axis(rows, order, axis=1)
-    first = np.ones(s.shape, dtype=bool)  # opens a tie group, as does each row's first value
-    first[:, 1:] = s[:, 1:] != s[:, :-1]
-    dense = np.cumsum(first).reshape(s.shape)  # 1-based tie group of each sorted value
-    count = np.append(np.flatnonzero(first), s.size)  # values below each group, over all rows
-    offset = np.arange(0, s.size, s.shape[1])[:, None]  # values in the rows before
-    ranks = np.empty(s.shape)
-    np.put_along_axis(ranks, order, 0.5 * (count[dense] + count[dense - 1] + 1) - offset, axis=1)
-    return special.ndtri((ranks - 3.0 / 8.0) / (s.shape[1] + 0.25)).reshape(x.shape)
+    ranks = np.empty(rows.shape)
+    for r, row in enumerate(rows):
+        order = np.argsort(row)
+        s = row[order]
+        ranks[r, order] = 0.5 * (np.searchsorted(s, s, "left") + np.searchsorted(s, s, "right") + 1)
+    return special.ndtri((ranks - 3.0 / 8.0) / (rows.shape[1] + 0.25)).reshape(x.shape)
 
 
 def _rhat(z):
@@ -835,13 +832,13 @@ def _ess_bulk(z):
     FFT autocovariances and Geyer's initial monotone sequence."""
     m, n = z.shape[-2:]
     size = 2 ** math.ceil(math.log2(2 * n))
-    # one transform per (parameter, chain) row: one along the whole array's last
-    # axis rounds differently
-    centred = (z - z.mean(axis=-1, keepdims=True)).reshape(-1, n)
-    spectra = (np.fft.rfft(row, size) for row in centred)
+    means = z.mean(axis=-1)
+    # one transform per (parameter, chain) row, each centred on its own: one along
+    # the whole array's last axis rounds differently
+    spectra = (np.fft.rfft(row - mean, size) for row, mean in zip(z.reshape(-1, n), means.flat))
     acov = np.array([np.fft.irfft(f * np.conj(f), size)[:n] for f in spectra]).reshape(z.shape) / n
     w = acov[..., 0].mean(axis=-1) * n / (n - 1)  # within-chain variance, ddof=1
-    var_hat = (n - 1) / n * w + z.mean(axis=-1).var(axis=-1, ddof=1)
+    var_hat = (n - 1) / n * w + means.var(axis=-1, ddof=1)
     if (var_hat <= 0.0).any():
         raise DiagnosticsError("zero pooled variance")
     rho = 1.0 - (w[..., None] - acov.mean(axis=-2)) / var_hat[..., None]

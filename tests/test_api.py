@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 from ppmkit import Dataset, PosteriorDraws, demo
-from ppmkit.distributions import normal, truncated_normal
+from ppmkit.distributions import normal, normal_logpdf, student_t_logpdf, truncated_normal
 from ppmkit.functions import MEAN_FORMS, MeanFunctionSpec, VarianceFunctionSpec
 from ppmkit.inference import ModelSpec
 from ppmkit.prediction import PredictionInterval, WidthTable
@@ -39,6 +39,8 @@ def test_posterior_draws_has_no_test_only_members():
     (demo.measurement_error_example, ["seed"]),
     (demo.regression_model, ["form"]),
     (demo.variance_trend_model, []),
+    (normal_logpdf, ["y", "mu", "sigma"]),
+    (student_t_logpdf, ["y", "mu", "sigma", "df"]),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_constructor_parameters(func, params):
     assert list(inspect.signature(func).parameters) == params

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import pickle
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -923,6 +924,29 @@ class TestDiagnostics:
         ref = stats.norm.ppf((stats.rankdata(flat, method="average") - 3.0 / 8.0)
                              / (flat.size + 0.25)).reshape(split.shape)
         assert np.array_equal(inference._rank_normalize(split), ref)
+
+    def test_rank_normalize_ranks_each_parameter_row_on_its_own(self):
+        # a (params, split chains, draws) array with a different tie pattern per row
+        rng = np.random.default_rng(12)
+        split = rng.standard_normal((3, 8, 250))
+        split[1] = np.round(split[1], 1)
+        split[2] = np.where(split[2] > 0.5, 0.5, split[2])
+        out = inference._rank_normalize(split)
+        for row, z in zip(split, out):
+            ref = stats.norm.ppf((stats.rankdata(row.reshape(-1), method="average") - 3.0 / 8.0)
+                                 / (row.size + 0.25)).reshape(row.shape)
+            assert np.array_equal(z, ref)
+
+    def test_one_call_peaks_under_one_and_a_half_megabytes(self):
+        # the (4, 2000, 4) stack itself is 0.26 MB; the call holds no tie-group temporaries
+        stack = np.random.default_rng(13).standard_normal((4, 2000, 4))
+        tracemalloc.start()
+        try:
+            compute_diagnostics(stack, None, ("p0", "p1", "p2", "p3"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
     # split R-hat, bulk ESS and flagged names as the per-parameter code computed them,
     # to the bit: an (m, n, k) stack of AR(1) chains from a seed, with an AR coefficient
