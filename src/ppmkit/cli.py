@@ -273,11 +273,8 @@ def cmd_predict(args) -> int:
             preds.append(pred)
         per_model[m.name] = preds
 
-    def averaged():
-        return [average_predictions([preds[qi] for preds in per_model.values()])
-                for qi in range(len(queries))]
-
-    combined = averaged() if len(per_model) > 1 and args.combine == "average" else None
+    averaged = [average_predictions(list(preds)) for preds in zip(*per_model.values())]
+    combined = averaged if len(per_model) > 1 and args.combine == "average" else None
 
     results = [
         _summary_entry(pred, args.level, args.threshold, args.direction)
@@ -299,7 +296,7 @@ def cmd_predict(args) -> int:
         names = [name for name in per_model for _ in queries] + ["average"] * len(queries)
         rows = [(n, e["x"], e["pi_upper"] - e["pi_lower"]) for n, e in zip(names, results)]
         if combined is None:
-            rows += [("average", p.x, interval(p, args.level).width) for p in averaged()]
+            rows += [("average", p.x, interval(p, args.level).width) for p in averaged]
         _write_atomic(args.out_widths, csv_text(["model", "x", "width"], rows))
     return 0
 
@@ -362,11 +359,10 @@ def cmd_report(args) -> int:
     cls_data = simulate_classification(300, demo.CLASSIFICATION_COEF, seed=seed + 1)
     hetero = demo.heteroscedastic_example(seed=seed)
     err_data = demo.measurement_error_example(seed=seed)
-    emit("data/running_example.csv", data.to_csv_text())
-    emit("data/subsample_k8.csv", sub.to_csv_text())
-    emit("data/classification.csv", cls_data.to_csv_text())
-    emit("data/heteroscedastic.csv", hetero.to_csv_text())
-    emit("data/running_example_with_errors.csv", err_data.to_csv_text())
+    for name, dataset in (("running_example", data), ("subsample_k8", sub),
+                          ("classification", cls_data), ("heteroscedastic", hetero),
+                          ("running_example_with_errors", err_data)):
+        emit(f"data/{name}.csv", dataset.to_csv_text())
 
     # ---- fits (independent; may run in parallel) ----------------------
     quad, exp2, exp3 = demo.candidate_models()
@@ -428,10 +424,7 @@ def cmd_report(args) -> int:
         per_model[name] = [
             predictive(model, f"{name}_full", x, 2, 10 + mi, qi) for qi, x in enumerate(grid)
         ]
-    averaged = [
-        average_predictions([per_model[k][qi] for k in per_model])
-        for qi in range(len(grid))
-    ]
+    averaged = [average_predictions(list(preds)) for preds in zip(*per_model.values())]
     rows, widths = [], []
     for name, preds in list(per_model.items()) + [("average", averaged)]:
         for p in preds:
@@ -519,12 +512,8 @@ def cmd_report(args) -> int:
 
     # ---- link functions --------------------------------------------------
     u = np.linspace(-6.0, 6.0, 121)
-    emit(
-        "link_functions.csv",
-        csv_text(["u"] + list(ZERO_ONE_LINKS),
-                 [(float(ui),) + tuple(float(apply_link(l, ui)) for l in ZERO_ONE_LINKS)
-                  for ui in u]),
-    )
+    curves = [apply_link(link, u) for link in ZERO_ONE_LINKS]
+    emit("link_functions.csv", csv_text(["u", *ZERO_ONE_LINKS], zip(u, *curves)))
 
     # ---- variance function ----------------------------------------------
     x_grid = np.round(np.linspace(0.0, 1.0, 21), 10)
@@ -547,20 +536,9 @@ def cmd_report(args) -> int:
     # ---- classification ---------------------------------------------------
     cls_draws = draws["logistic"]
     rows = []
-    for i in range(cls_data.n):
-        p_draws, y_pred = classify_predictive(cls_model, cls_draws, cls_data.x[i])
-        out_i = decompose_uncertainty(p_draws)
-        rows.append(
-            (
-                float(cls_data.x[i, 0]),
-                float(cls_data.x[i, 1]),
-                float(cls_data.y[i]),
-                out_i.mu_bar,
-                out_i.sigma_mu,
-                out_i.aleatoric,
-                out_i.epistemic,
-            )
-        )
+    for x, y in zip(cls_data.x, cls_data.y):
+        p_draws, _ = classify_predictive(cls_model, cls_draws, x)
+        rows.append((*x, y, *decompose_uncertainty(p_draws).to_json().values()))
     emit(
         "classification/mu_sigma.csv",
         csv_text(["x1", "x2", "y", "mu_bar", "sigma_mu", "aleatoric", "epistemic"], rows),
@@ -630,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", action="append", required=True)
     p.add_argument("--model", action="append", required=True)
     p.add_argument("--x", type=float, action="append", default=[])
-    p.add_argument("--grid", default=None, help="start:stop:count")
+    p.add_argument("--grid", default=None,
+                   help="start:stop:count; a negative start needs --grid=-0.5:1:5")
     p.add_argument("--per-draw", type=int, default=1)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--threshold", type=float, default=None)
@@ -652,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", action="append", required=True,
                    help="comma-separated feature values; repeatable")
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--boundary-grid", default=None, help="start:stop:count over x1")
+    p.add_argument("--boundary-grid", default=None,
+                   help="start:stop:count over x1; a negative start needs --boundary-grid=-3:3:7")
     p.add_argument("--out", required=True)
     p.add_argument("--out-boundary", default="boundary_band.csv")
     p.set_defaults(func=cmd_decompose)

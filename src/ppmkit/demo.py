@@ -78,7 +78,10 @@ def regression_model(form: str) -> ModelSpec:
     saturating priors for a saturating form, the defaults for any other."""
     model = ModelSpec(mean=MeanFunctionSpec(form), variance=VarianceFunctionSpec("constant"))
     if form in ("exp2", "exp3", "true_model", "michaelis_menten"):
-        return _saturating(model)
+        model = _saturating(model)
+    if form == "michaelis_menten":  # Km >= 0: a negative Km puts the pole x = -Km in [0, 1]
+        km = truncated_normal(0.0, 2.0, lower=0.0)
+        model = replace(model, priors=model.priors[:1] + (km,) + model.priors[2:])
     return model
 
 

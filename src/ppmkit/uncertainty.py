@@ -197,15 +197,8 @@ def decision_boundary_band(
     if keep.sum() <= 0.5 * theta.shape[0]:
         raise ValueError("boundary is degenerate for most draws (theta2 = 0)")
     t0, t1, t2 = theta[keep, 0], theta[keep, 1], theta[keep, 2]
+    grid = np.asarray(grid, dtype=float)
     tail = (1.0 - level) / 2.0
-    lower, upper = [], []
-    for x1 in np.asarray(grid, dtype=float):
-        x2 = -(t0 + t1 * x1) / t2
-        lo, hi = np.quantile(x2, [tail, 1.0 - tail])
-        lower.append(float(lo))
-        upper.append(float(hi))
-    return BoundaryBand(
-        x1=tuple(float(v) for v in np.asarray(grid, dtype=float)),
-        lower=tuple(lower),
-        upper=tuple(upper),
-    )
+    lower, upper = np.quantile(-(t0 + t1 * grid[:, None]) / t2, [tail, 1.0 - tail], axis=1)
+    return BoundaryBand(x1=tuple(grid.tolist()), lower=tuple(lower.tolist()),
+                        upper=tuple(upper.tolist()))

@@ -56,6 +56,8 @@ def test_regression_model_priors(form):
     k = MeanFunctionSpec(form).parameter_count
     if form in SATURATING_FORMS:
         mean_priors = (truncated_normal(0.0, 5.0, lower=0.0),) + (normal(0.0, 2.0),) * (k - 1)
+        if form == "michaelis_menten":  # Km is bounded at 0
+            mean_priors = mean_priors[:1] + (truncated_normal(0.0, 2.0, lower=0.0),)
     else:
         mean_priors = (normal(0.0, 5.0),) * k
     expected = ModelSpec(

@@ -27,6 +27,7 @@ from ppmkit import (
     inference,
 )
 from ppmkit.cli import main
+from ppmkit.functions import ZERO_ONE_LINKS, apply_link
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,15 @@ class TestPredict:
         (entry,) = json.loads(out.read_text())["results"]
         assert entry["pi_lower"] >= 0.0
 
+    def test_negative_grid_start_in_equals_form(self, workdir, tmp_path):
+        summary = tmp_path / "s.json"
+        rc = main(["predict", "--draws", str(workdir / "draws.csv"),
+                   "--model", str(workdir / "model.json"), "--grid=-0.5:1:5",
+                   "--out-summary", str(summary)])
+        assert rc == 0
+        xs = [r["x"] for r in json.loads(summary.read_text())["results"]]
+        assert xs == [-0.5, -0.125, 0.25, 0.625, 1.0]
+
     def test_grid_widths_table(self, workdir, tmp_path):
         widths = tmp_path / "widths.csv"
         rc = main(["predict", "--draws", str(workdir / "draws.csv"),
@@ -609,3 +619,21 @@ class TestReport:
             widths = [((r["model"], r["x"]), float(r["width"])) for r in csv.DictReader(fh)]
         assert len(widths) == 4 * 31
         assert widths == predicted
+
+    def test_classification_rows_and_link_curves(self, tmp_path):
+        out = tmp_path / "rep"
+        assert main(["report", "--out-dir", str(out), "--fast", "--seed", "3",
+                     "--m-datasets", "1"]) == 0
+        with open(out / "classification" / "mu_sigma.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 300
+        for r in rows:
+            mu_bar = float(r["mu_bar"])
+            gap = float(r["aleatoric"]) + float(r["epistemic"]) - mu_bar * (1.0 - mu_bar)
+            assert abs(gap) < 1e-12
+        with open(out / "link_functions.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        u = np.array([float(r["u"]) for r in table])
+        assert len(u) == 121
+        for link in ZERO_ONE_LINKS:
+            assert np.array_equal([float(r[link]) for r in table], apply_link(link, u))

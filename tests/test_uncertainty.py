@@ -375,6 +375,19 @@ class TestBoundaryBand:
         np.testing.assert_allclose(band_f.lower, [-u for u in band.upper], atol=0.15)
         np.testing.assert_allclose(band_f.upper, [-l for l in band.lower], atol=0.15)
 
+    @pytest.mark.parametrize("level", [0.95, 0.9, 0.5])
+    @pytest.mark.parametrize("grid", [np.linspace(-3.0, 3.0, 25), [0.7]])
+    def test_matches_per_point_quantiles(self, logistic_fit, level, grid):
+        model, draws = logistic_fit
+        band = decision_boundary_band(draws, model, grid, level)
+        t0, t1, t2 = draws.draws.T
+        tail = (1.0 - level) / 2.0
+        expect = np.array([np.quantile(-(t0 + t1 * x1) / t2, [tail, 1.0 - tail])
+                           for x1 in np.asarray(grid, dtype=float)])
+        assert np.array_equal(band.x1, np.asarray(grid, dtype=float))
+        assert np.array_equal(band.lower, expect[:, 0])
+        assert np.array_equal(band.upper, expect[:, 1])
+
     def test_degenerate_theta2_majority_is_an_error(self):
         theta = np.tile([0.5, 1.0, 0.0], (100, 1))
         theta[:40, 2] = 1.0  # only 40% of draws carry a finite boundary
