@@ -115,15 +115,19 @@ def _require_file(path, what: str) -> Path:
 
 def _finite(flag: str, value) -> float:
     """``value`` (a number or its text) as a float, refused unless finite."""
-    number = float(value)
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
     if not math.isfinite(number):
-        raise UsageError(f"{flag} must be a finite number, got {value}")
+        raise UsageError(f"{flag} must be a finite number, got {value!r}")
     return number
 
 
 def _parse_grid(text: str, flag: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
+        start, stop = float(start), float(stop)  # non-numeric text is a malformed grid
         grid = np.linspace(_finite(flag, start), _finite(flag, stop), int(count))
     except ValueError as err:
         raise UsageError(f"{flag} must look like start:stop:count, got {text!r}") from err
@@ -161,10 +165,11 @@ def _summary_entry(pred, level, threshold=None, direction="above"):
 
 def cmd_simulate(args) -> int:
     if args.classification:
-        coef = tuple(float(v) for v in args.coef.split(","))
-        if len(coef) != 3:
-            raise UsageError("--coef needs three comma-separated values")
-        data = simulate_classification(args.n, coef, seed=args.seed)
+        try:
+            t0, t1, t2 = map(float, args.coef.split(","))
+        except ValueError:
+            raise UsageError(f"--coef must be three numbers, got {args.coef!r}") from None
+        data = simulate_classification(args.n, (t0, t1, t2), seed=args.seed)
     else:
         data = simulate_dataset(
             args.n, args.theta1, args.theta2, args.sigma,
@@ -400,18 +405,12 @@ def cmd_report(args) -> int:
         print(f"report: fits flagged as unconverged: {', '.join(flagged)} "
               f"(see {out / 'convergence.json'})", file=sys.stderr)
 
-    # ---- threshold decision (two-compound demo) -----------------------
-    rng = np.random.default_rng([seed, 1, 0])
-    records = []
-    for name, spec in (("A", demo.COMPOUND_A), ("B", demo.COMPOUND_B)):
-        samples = spec.sample(rng, 200_000)
-        records.append(
-            {
-                "compound": name,
-                "mean": float(samples.mean()),
-                "p_above_threshold": float(np.mean(samples > demo.SAFETY_THRESHOLD)),
-            }
-        )
+    # ---- threshold decision (two-compound demo; exact normal tails) ----
+    records = [
+        {"compound": name, "mean": spec.mu,
+         "p_above_threshold": 1.0 - spec.cdf(demo.SAFETY_THRESHOLD)}
+        for name, spec in (("A", demo.COMPOUND_A), ("B", demo.COMPOUND_B))
+    ]
     emit_json(
         "threshold_decision.json",
         {"threshold": demo.SAFETY_THRESHOLD, "compounds": records},

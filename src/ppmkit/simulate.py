@@ -70,7 +70,9 @@ class Dataset:
     ``x`` is (n,) for single-feature problems, also when given as one
     column (n, 1), or (n, d) for feature vectors; ``x_se``/``y_se``, when
     present, match the shapes of ``x`` and ``y`` and must be nonnegative
-    (zero means exactly known).  Every value must be finite.
+    (zero means exactly known).  Only single-feature data carry them, since
+    the feature-vector CSV form has no column for them.  Every value must be
+    finite.
     """
 
     x: np.ndarray
@@ -79,29 +81,27 @@ class Dataset:
     y_se: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _readonly(self.x))
-        if self.x.ndim == 2 and self.x.shape[1] == 1:
-            object.__setattr__(self, "x", _readonly(self.x[:, 0]))
-        object.__setattr__(self, "y", _readonly(self.y))
+        for name in ("x", "y", "x_se", "y_se"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            values = _readonly(values)
+            if name[0] == "x" and values.ndim == 2 and values.shape[1] == 1:
+                values = _readonly(values[:, 0])  # one column of x or x_se: a single feature
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} has a non-finite value")
+            object.__setattr__(self, name, values)
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError("x and y must have the same number of rows")
         if self.y.ndim != 1:
             raise ValueError("y must be one-dimensional")
-        for name in ("x", "y", "x_se", "y_se"):
-            values = getattr(self, name)
-            if values is not None and not np.isfinite(values).all():
-                raise ValueError(f"{name} has a non-finite value")
-        for name in ("x_se", "y_se"):
-            se = getattr(self, name)
-            if se is None:
-                continue
-            se = _readonly(se)
-            ref = self.x if name == "x_se" else self.y
-            if se.shape != ref.shape:
+        if self.x.ndim == 2 and (self.x_se is not None or self.y_se is not None):
+            raise ValueError(f"x_se and y_se need a single feature, x has {self.x.shape[1]}")
+        for name, se, ref in (("x_se", self.x_se, self.x), ("y_se", self.y_se, self.y)):
+            if se is not None and se.shape != ref.shape:
                 raise ValueError(f"{name} must match the shape of {name[0]}")
-            if np.any(se < 0.0):
+            if se is not None and np.any(se < 0.0):
                 raise ValueError("standard errors must be nonnegative")
-            object.__setattr__(self, name, se)
 
     @property
     def n(self) -> int:
@@ -131,14 +131,12 @@ class Dataset:
         cols = dict(zip(header, values.T))
         if "y" not in cols:
             raise ValueError(f"{path}, line 1: dataset header {header!r} has no y column")
-        if "x" in cols:
-            return cls(x=cols["x"], y=cols["y"], x_se=cols.get("x_se"), y_se=cols.get("y_se"))
-        feature_names = sorted((n for n in cols if n[:1] == "x" and n[1:].isdigit()),
-                               key=lambda n: int(n[1:]))
+        feature_names = ["x"] if "x" in cols else sorted(
+            (n for n in cols if n[:1] == "x" and n[1:].isdigit()), key=lambda n: int(n[1:]))
         if not feature_names:
             raise ValueError(f"{path}, line 1: dataset header {header!r} has no x column")
         x = np.column_stack([cols[n] for n in feature_names])
-        return cls(x=x, y=cols["y"])
+        return cls(x=x, y=cols["y"], x_se=cols.get("x_se"), y_se=cols.get("y_se"))
 
 
 def true_mean(x, theta1: float, theta2: float):

@@ -108,6 +108,14 @@ class TestSimulate:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("coef", ["a,1,2", "1,2", "0.4,1,2,3"])
+    def test_bad_coef_names_the_flag(self, tmp_path, capsys, coef):
+        assert main(["simulate", "--classification", "--coef", coef,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --coef ") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_classification_output(self, tmp_path):
         out = tmp_path / "cls.csv"
         assert main(["simulate", "--classification", "--n", "40",
@@ -245,6 +253,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'plane' takes 2 feature(s)" in err
         assert "the dataset has 1" in err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_feature_vectors_with_error_columns_are_usage_error(self, workdir, tmp_path,
+                                                                 capsys):
+        data = tmp_path / "errors.csv"
+        data.write_text("x1,x2,y,x_se\n0.1,0.2,1.0,0.01\n0.3,0.4,0.0,0.02\n")
+        rc = main(["fit", "--data", str(data), "--model", str(workdir / "model.json"),
+                   "--out-draws", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert "x_se and y_se need a single feature" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
     def test_too_few_samples_to_diagnose_is_usage_error(self, workdir, tmp_path, capsys):
@@ -541,10 +559,22 @@ class TestDecompose:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_numeric_boundary_grid_names_its_shape(self, cls_fit, tmp_path, capsys):
+        rc = main(["decompose", "--draws", str(cls_fit / "draws.csv"),
+                   "--model", str(cls_fit / "cls.json"), "--x", "0,0",
+                   "--boundary-grid", "a:3:7", "--out", str(tmp_path / "dec.json"),
+                   "--out-boundary", str(tmp_path / "band.csv")])
+        assert rc == 2
+        assert ("--boundary-grid must look like start:stop:count, got 'a:3:7'"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, flags", [
         ("--x", ["--x", "nan,0.5"]),
         ("--x", ["--x", "0,0", "--x", "0.5,inf"]),
         ("--boundary-grid", ["--x", "0,0", "--boundary-grid=-inf:3:7"]),
+        ("--x", ["--x", "a,0.5"]),
+        ("--x", ["--x", "0,0", "--x", "0.5,"]),
     ])
     def test_non_finite_flag_writes_nothing(self, cls_fit, tmp_path, capsys, flag, flags):
         rc = main(["decompose", "--draws", str(cls_fit / "draws.csv"),
@@ -607,6 +637,22 @@ class TestReport:
         assert main(["report", "--out-dir", str(out), "--fast", *flags]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flags[0]} must be >= 1")
         assert not out.exists()
+
+    def test_threshold_decision_is_exact(self, tmp_path):
+        out = tmp_path / "rep"
+        assert main(["report", "--out-dir", str(out), "--fast", "--seed", "3",
+                     "--m-datasets", "1"]) == 0
+        decision = json.loads((out / "threshold_decision.json").read_text())
+        assert decision["threshold"] == demo.SAFETY_THRESHOLD == 8.0
+        tails = {}
+        for record, (name, spec) in zip(decision["compounds"],
+                                        [("A", demo.COMPOUND_A), ("B", demo.COMPOUND_B)],
+                                        strict=True):
+            assert record["compound"] == name
+            assert record["mean"] == spec.mu
+            assert record["p_above_threshold"] == 1.0 - spec.cdf(8.0)
+            tails[name] = record["p_above_threshold"]
+        assert tails["A"] > tails["B"]
 
     def test_width_table_matches_prediction_intervals(self, tmp_path):
         out = tmp_path / "rep"

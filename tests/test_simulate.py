@@ -110,6 +110,30 @@ class TestDataset:
         assert d.x.shape == (3,) and d.n_features == 1
         assert Dataset(x=d.x[:, None], y=d.y).x.shape == (3,)
 
+    def test_one_column_x_se_is_stored_with_its_single_feature(self):
+        d = Dataset(x=np.ones((3, 1)), y=[0, 1, 0], x_se=np.full((3, 1), 0.1))
+        assert d.x.shape == d.x_se.shape == (3,)
+        np.testing.assert_array_equal(d.x_se, np.full(3, 0.1))
+        with pytest.raises(ValueError):
+            d.x_se[0] = 0.0
+
+    def test_one_feature_column_keeps_its_error_columns(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x1,y,x_se,y_se\n0.1,0.2,0.01,0.05\n0.3,0.5,0.0,0.04\n")
+        d = Dataset.from_csv(p)
+        assert d.n_features == 1
+        np.testing.assert_array_equal(d.x_se, [0.01, 0.0])
+        np.testing.assert_array_equal(d.y_se, [0.05, 0.04])
+        assert csv_round_trip(d).x_se.tobytes() == d.x_se.tobytes()
+
+    @pytest.mark.parametrize("column", ["x_se", "y_se"])
+    def test_feature_vectors_refuse_standard_errors(self, column):
+        # the x1,x2,y CSV form has no error columns, so they would vanish on save
+        x = np.zeros((4, 2))
+        se = {"x_se": np.zeros((4, 2)), "y_se": np.zeros(4)}[column]
+        with pytest.raises(ValueError, match="x_se and y_se need a single feature, x has 2"):
+            Dataset(x=x, y=np.zeros(4), **{column: se})
+
     def test_csv_reader_rejects_an_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
