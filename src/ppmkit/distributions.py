@@ -50,13 +50,16 @@ def student_t_logpdf(y, mu, sigma, df):
 
 
 def bernoulli_logpmf(y, p):
-    """Elementwise Bernoulli log-mass; -inf off the {0, 1} support."""
+    """Elementwise Bernoulli log-mass, one log of the outcome's probability
+    ``p`` or ``1 - p``; -inf off the {0, 1} support."""
     y = np.asarray(y, dtype=float)
     p = np.asarray(p, dtype=float)
+    one = y == 1.0
     with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-        log_q = np.log1p(-p)
-    out = np.where(y == 1.0, log_p, np.where(y == 0.0, log_q, _NEG_INF))
+        out = np.log(np.where(one, p, 1.0 - p))
+    off = ~(one | (y == 0.0))
+    if off.any():
+        out = np.where(off, _NEG_INF, out)
     return out if out.ndim else float(out)
 
 
@@ -307,6 +310,7 @@ class PriorTable:
         self.lower = np.array([-np.inf if p.lower is None else p.lower for p in priors], float)
         self.upper = np.array([np.inf if p.upper is None else p.upper for p in priors], float)
         self.log_mass = np.array([getattr(p, "_log_mass", 0.0) for p in priors])
+        self.bounded = bool(np.isfinite(self.lower).any() or np.isfinite(self.upper).any())
 
     def __call__(self, rows):
         """Log prior of each row of ``rows`` (m, k), (m,), one kernel call per family:
@@ -315,8 +319,10 @@ class PriorTable:
         terms = np.empty(rows.shape)
         for family, cols, *params in self.groups:
             terms[:, cols] = OUTCOMES[family].logpdf(rows[:, cols], *params)
+        if self.bounded:  # unbounded, x - 0.0 is x and no row is out of bounds
+            terms = _bounded(rows, terms, self.lower, self.upper, self.log_mass)
         total = 0.0
-        for column in _bounded(rows, terms, self.lower, self.upper, self.log_mass).T:
+        for column in terms.T:
             total = total + column
         return total
 

@@ -508,34 +508,36 @@ def _metropolis(density, u, lp, incr, log_u):
     # padded with zero steps, which are never scored, so that a window starts
     # at every step and at the end
     padded = np.concatenate([incr, np.zeros((chains, depth, k))], axis=1)
-    windows = sliding_window_view(padded, depth, axis=1)  # [c, t] -> (k, depth)
-    moved = [[] for _ in rows]  # per step, whether the chain accepted it
+    windows = sliding_window_view(padded, depth, axis=1).swapaxes(2, 3)  # [c, t] -> (depth, k)
     log_ratios = [[] for _ in rows]
-    start, u, lp, log_u, pos = u, u.copy(), lp.tolist(), log_u.tolist(), [0] * chains
+    # per chain, its start and each proposal it moved to, and the step from which each holds
+    states, since = [[s] for s in u], [[0] for _ in rows]
+    u, lp, log_u, pos = u.copy(), lp.tolist(), log_u.tolist(), [0] * chains
+    ahead = [depth] * chains  # each chain's steps to score in a call
     while min(pos) < n:
-        proposal = (u[:, None] + windows[rows, pos].swapaxes(1, 2)).reshape(-1, k)
-        ahead = [min(depth, n - t) for t in pos]  # each chain's steps left to score
-        if min(ahead) < depth:  # near the end: score no step past it
+        proposal = (u[:, None] + windows[rows, pos]).reshape(-1, k)
+        if max(pos) > n - depth:  # near the end: score no step past it
+            ahead = [min(depth, n - t) for t in pos]
             proposal = proposal[(np.arange(depth) < np.array(ahead)[:, None]).ravel()]
         lp_new = density(proposal).tolist()
         first = 0  # the chain's first row in lp_new
         for c, t in enumerate(pos):
-            for i in range(ahead[c]):
-                log_ratio = lp_new[first + i] - lp[c]
-                log_ratios[c].append(log_ratio)
-                accept = log_u[c][t + i] < log_ratio
-                moved[c].append(accept)
-                if accept:
-                    u[c], lp[c] = proposal[first + i], lp_new[first + i]
+            lp_c, log_u_c, ratios = lp[c], log_u[c], log_ratios[c]
+            for i, step in enumerate(range(t, t + ahead[c]), first):
+                log_ratio = lp_new[i] - lp_c
+                ratios.append(log_ratio)
+                if log_u_c[step] < log_ratio:
+                    u[c], lp[c] = proposal[i], lp_new[i]
+                    states[c].append(proposal[i])
+                    since[c].append(step)
                     break
-            pos[c] = len(moved[c])
+            pos[c] = len(ratios)
             first += ahead[c]
-    # a chain's states are its start and the running sums of its accepted
-    # increments, the very additions it made; each step indexes the last of them
-    moved = np.array(moved)
-    path = np.stack([np.cumsum(np.concatenate([s[None], d[m]]), axis=0)[np.cumsum(m)]
-                     for s, d, m in zip(start, incr, moved)])
-    return path, np.exp(np.minimum(log_ratios, 0.0)), moved.sum(axis=1), np.array(lp)
+    # each state repeats from the step it was reached up to the next one's
+    lengths = [b - a for steps in since for a, b in zip(steps, [*steps[1:], n])]
+    path = np.repeat(np.array([s for chain in states for s in chain]), lengths, axis=0)
+    return (path.reshape(chains, n, k), np.exp(np.minimum(log_ratios, 0.0)),
+            np.array([len(steps) - 1 for steps in since]), np.array(lp))
 
 
 _FIRST_WINDOW = 25  # block steps in the first covariance window; each next one doubles

@@ -14,9 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .functions import MeanFunctionSpec, mean_values
+from .functions import MeanFunctionSpec, apply_link, mean_values
 
 TRUE_MODEL = MeanFunctionSpec("true_model")
 
@@ -136,7 +135,14 @@ class Dataset:
         if not feature_names:
             raise ValueError(f"{path}, line 1: dataset header {header!r} has no x column")
         x = np.column_stack([cols[n] for n in feature_names])
-        return cls(x=x, y=cols["y"], x_se=cols.get("x_se"), y_se=cols.get("y_se"))
+        se = [cols[n] for n in ("x_se", "y_se") if n in cols]
+        if se and (negative := np.min(se, axis=0) < 0.0).any():
+            raise ValueError(f"{path}, line {np.argmax(negative) + 2}: "
+                             "standard errors must be nonnegative")
+        try:
+            return cls(x=x, y=cols["y"], x_se=cols.get("x_se"), y_se=cols.get("y_se"))
+        except ValueError as err:  # a refusal of the columns as a whole
+            raise ValueError(f"{path}: {err}") from None
 
 
 def true_mean(x, theta1: float, theta2: float):
@@ -203,6 +209,6 @@ def simulate_classification(
         raise ValueError("classification coefficients have a non-finite value")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-3.0, 3.0, (n, 2))
-    p = expit(t0 + t1 * x[:, 0] + t2 * x[:, 1])
+    p = apply_link("logit", t0 + t1 * x[:, 0] + t2 * x[:, 1])
     y = (rng.random(n) < p).astype(float)
     return Dataset(x=x, y=y)

@@ -265,6 +265,22 @@ class TestFit:
         assert "x_se and y_se need a single feature" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,y,y_se\n0.1,0.2,0.1\n0.2,0.3,-0.1\n",
+         "rows.csv, line 3: standard errors must be nonnegative"),
+        ("x1,x2,y,x_se\n0.1,0.2,1.0,0.01\n0.3,0.4,0.0,0.02\n",
+         "rows.csv: x_se and y_se need a single feature"),
+    ], ids=["negative-se", "feature-vectors-with-se"])
+    def test_dataset_refusal_names_the_file(self, workdir, tmp_path, capsys, text, message):
+        data = tmp_path / "rows.csv"
+        data.write_text(text)
+        rc = main(["fit", "--data", str(data), "--model", str(workdir / "model.json"),
+                   "--out-draws", str(tmp_path / "d.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_too_few_samples_to_diagnose_is_usage_error(self, workdir, tmp_path, capsys):
         rc = main(["fit", "--data", str(workdir / "data.csv"),
                    "--model", str(workdir / "model.json"),

@@ -3,6 +3,7 @@ normalization, CDF/quantile round trips, and sampling consistency."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ class TestLogDensity:
     def test_bernoulli_off_support_is_neg_inf_not_error(self):
         assert bernoulli(0.75).log_density(0.5) == -math.inf
         assert bernoulli(0.75).log_density(2.0) == -math.inf
+
+    def test_bernoulli_kernel_matches_both_logs(self):
+        p = np.concatenate([np.linspace(0.0, 1.0, 1001), np.geomspace(1e-300, 0.5, 300),
+                            1.0 - np.geomspace(1e-16, 0.5, 300)])
+        for y in (0.0, 1.0):
+            with np.errstate(divide="ignore"):
+                expected = np.log(p) if y == 1.0 else np.log1p(-p)
+            np.testing.assert_allclose(distributions.bernoulli_logpmf(np.full_like(p, y), p),
+                                       expected, rtol=1e-14, atol=1e-15)
+
+    def test_bernoulli_kernel_off_support_is_neg_inf_without_warning(self):
+        y = np.array([0.5, 2.0, 1.0, 0.0, 0.5])
+        p = np.array([0.3, 0.3, 0.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = distributions.bernoulli_logpmf(y, p)
+        np.testing.assert_array_equal(out, np.full(5, -np.inf))
 
     def test_truncated_outside_bounds_is_neg_inf(self):
         d = truncated_normal(0.0, 1.0, lower=0.0)

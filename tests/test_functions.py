@@ -1,9 +1,11 @@
 """Mean-form, link, and variance-function tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from ppmkit import (
     MeanFunctionSpec,
@@ -93,6 +95,21 @@ class TestMeanForms:
 class TestLinks:
     def test_logistic_midpoint(self):
         assert apply_link("logit", 0.0) == pytest.approx(0.5)
+
+    def test_logit_within_two_ulp_of_scipy_expit(self):
+        u = np.linspace(-745.0, 745.0, 20001)
+        np.testing.assert_array_max_ulp(apply_link("logit", u), special.expit(u), maxulp=2)
+
+    def test_logit_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert apply_link("logit", -1000.0) == 0.0
+            assert apply_link("logit", 1000.0) == 1.0
+            np.testing.assert_array_equal(apply_link("logit", np.array([-1000.0, 1000.0])),
+                                          [0.0, 1.0])
+
+    def test_logit_of_a_scalar_is_a_float(self):
+        assert type(apply_link("logit", 0.3)) is float
 
     def test_cloglog_at_zero(self):
         assert apply_link("cloglog", 0.0) == pytest.approx(CLOGLOG_AT_0, abs=1e-12)
