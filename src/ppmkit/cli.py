@@ -28,6 +28,7 @@ from .inference import (
     ModelSpec,
     PosteriorDraws,
     fit,
+    fit_ensemble,
     plug_in_fit,
 )
 from .prediction import (
@@ -384,15 +385,23 @@ def cmd_report(args) -> int:
         ("var_const", var_const_model, hetero),
         ("logistic", cls_model, cls_data),
     ] + [(f"gen_{i}", exp3, g) for i, g in enumerate(generated)]
-    names, models, datasets = zip(*jobs)
-    configs = [demo.fit_settings(model.name, seed + 1000 * (i + 1), args.fast)
-               for i, model in enumerate(models)]
+    # fits of one model object, data size and setting but the seed run in
+    # lockstep, one fit_ensemble call a group; the pool maps over the groups
+    groups = {}
+    for i, (name, model, dataset) in enumerate(jobs):
+        config = demo.fit_settings(model.name, seed + 1000 * (i + 1), args.fast)
+        key = (id(model), dataset.n, dataclasses.replace(config, seed=0))
+        group = groups.setdefault(key, (model, config, [], [], []))
+        for column, value in zip(group[2:], (name, dataset, config.seed)):
+            column.append(value)
+    models, configs, names, datasets, seeds = zip(*groups.values())
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            fitted = list(pool.map(fit, models, datasets, configs))
+            fitted = list(pool.map(fit_ensemble, models, datasets, seeds, configs))
     else:
-        fitted = list(map(fit, models, datasets, configs))
-    draws = dict(zip(names, fitted))
+        fitted = list(map(fit_ensemble, models, datasets, seeds, configs))
+    by_name = {name: d for group, fits in zip(names, fitted) for name, d in zip(group, fits)}
+    draws = {name: by_name[name] for name, _, _ in jobs}
 
     def predictive(model, fit_name, x, per_draw, section, index):
         return posterior_predictive(model, draws[fit_name], float(x), per_draw=per_draw,

@@ -19,7 +19,12 @@ so warmup adapts its scales between runs of ``_RUN`` sweeps or steps.
 :func:`log_posterior` scores the priors from the table that a
 :class:`ModelSpec` builds once, one kernel call per prior family.  Chain
 ``c`` draws only from ``Generator(master_seed + c)``, so its draws do not
-depend on the other chains.  ``fit`` diagnoses the (chains, samples,
+depend on the other chains.  That lets one sampler pass run several fits of
+one model and setting, its members, each a dataset and a seed: every kernel
+call scores all members' chains, each row against its own member's data, and
+each member's draws are those of its lone fit.  :func:`fit` is the
+one-member case and :func:`fit_ensemble` runs several seeds, on one dataset
+or one each.  ``fit`` diagnoses the (chains, samples,
 params) stack of its chains once; draws read from CSV carry no
 diagnostics, and :func:`diagnostics` computes them on request.  The split
 draws, a (params, 2 * chains, samples // 2) array, are ranked by one sort per
@@ -30,7 +35,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -333,7 +339,9 @@ def log_posterior(model: ModelSpec, data: Dataset, theta):
 
     ``theta`` is one parameter vector (k,), giving a float, or a draw matrix
     (m, k), giving an (m,) array whose rows equal the vector calls exactly;
-    a matrix's priors are scored by ``model.prior_table``.
+    a matrix's priors are scored by ``model.prior_table``.  ``data`` is a
+    dataset every row scores against, or, in a lockstep fit, a matrix's
+    :class:`_Rows`, one dataset's x and y per row.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -364,6 +372,18 @@ def log_posterior(model: ModelSpec, data: Dataset, theta):
 # --------------------------------------------------------------------- #
 
 
+class _Rows(NamedTuple):
+    """The data of a lockstep density call: row ``i`` of theta scores against
+    ``x[i]`` and ``y[i]``, its own member's dataset."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[-1]
+
+
 class _Unconstrained:
     """:func:`log_posterior` of ``model`` on ``data`` over unconstrained reals.
 
@@ -380,10 +400,19 @@ class _Unconstrained:
     theta2, a curved ridge a random walk crosses slowly; A is what they
     identify (Bates and Watts 1988, ch. 7, on parameter-effects curvature).
     A row whose divisor is 0 or NaN scores -inf, never NaN.
+
+    ``data`` may also be a list of datasets of one size, one per member of a
+    lockstep fit, whose chains are consecutive blocks of ``chains`` rows.
+    When they are one dataset every row scores against it; otherwise
+    :meth:`gather` lays out each row's own member's data.
     """
 
-    def __init__(self, model: ModelSpec, data: Dataset):
-        self.model, self.data = model, data
+    def __init__(self, model: ModelSpec, data, chains: int = 1):
+        datasets = data if isinstance(data, list) else [data]
+        self.model, self.data, self.chains = model, datasets[0], chains
+        self.stack = None
+        if any(d is not self.data for d in datasets):
+            self.stack = _Rows(np.stack([d.x for d in datasets]), np.stack([d.y for d in datasets]))
         lower, upper = model.prior_table.lower, model.prior_table.upper
         has_lo, has_hi = np.isfinite(lower), np.isfinite(upper)
         self.one = np.flatnonzero(has_lo != has_hi)
@@ -397,10 +426,19 @@ class _Unconstrained:
         self.rise = (model.mean.form in ("exp2", "exp3") and lower[0] >= 0.0
                      and not (has_lo[1] or has_hi[1]))
 
-    def __call__(self, u):
-        """Log density of unconstrained rows ``u`` (m, k), (m,)."""
+    def __call__(self, u, rows=None):
+        """Log density of unconstrained rows ``u`` (m, k), (m,), each row scored
+        against its own data in ``rows`` or, without it, against the one dataset."""
         theta, log_jac = self.constrain(u)
-        return log_posterior(self.model, self.data, theta) + log_jac
+        return log_posterior(self.model, self.data if rows is None else rows, theta) + log_jac
+
+    def gather(self, depth):
+        """Each row's data when each chain has ``depth`` consecutive rows, as
+        :class:`_Rows`, or None when every member shares one dataset."""
+        if self.stack is None:
+            return None
+        member = np.repeat(np.arange(len(self.stack.y)), self.chains * depth)
+        return _Rows(self.stack.x[member], self.stack.y[member])
 
     def constrain(self, u):
         """Parameter rows of unconstrained rows ``u`` (m, k), and the log
@@ -502,9 +540,12 @@ def _metropolis(density, u, lp, incr, log_u):
     it rejected them all.  The chain takes the first that its uniform accepts,
     or rejects them all, so its path is the one-step kernel's exactly.  Chains
     advance by different step counts and meet again at the end.  Accept tests
-    run on Python floats, which for a few chains costs less than numpy calls."""
+    run on Python floats, which for a few chains costs less than numpy calls.
+    A ``density`` with a ``gather`` method (a lockstep :class:`_Unconstrained`)
+    scores each row against its own data, gathered once a run."""
     chains, n, k = incr.shape
     depth, rows = _PREFETCH, np.arange(chains)
+    gathered = density.gather(depth) if hasattr(density, "gather") else None
     # padded with zero steps, which are never scored, so that a window starts
     # at every step and at the end
     padded = np.concatenate([incr, np.zeros((chains, depth, k))], axis=1)
@@ -516,10 +557,14 @@ def _metropolis(density, u, lp, incr, log_u):
     ahead = [depth] * chains  # each chain's steps to score in a call
     while min(pos) < n:
         proposal = (u[:, None] + windows[rows, pos]).reshape(-1, k)
+        data = gathered
         if max(pos) > n - depth:  # near the end: score no step past it
             ahead = [min(depth, n - t) for t in pos]
-            proposal = proposal[(np.arange(depth) < np.array(ahead)[:, None]).ravel()]
-        lp_new = density(proposal).tolist()
+            keep = (np.arange(depth) < np.array(ahead)[:, None]).ravel()
+            proposal = proposal[keep]
+            if data is not None:
+                data = _Rows(data.x[keep], data.y[keep])
+        lp_new = (density(proposal) if data is None else density(proposal, data)).tolist()
         first = 0  # the chain's first row in lp_new
         for c, t in enumerate(pos):
             lp_c, log_u_c, ratios = lp[c], log_u[c], log_ratios[c]
@@ -563,6 +608,14 @@ def _regularised_cov(draws):
     return n / (n + 5.0) * cov + 1e-3 * 5.0 / (n + 5.0) * np.eye(k)
 
 
+class _MemberFailure(FitError):
+    """The FitError of one member of a lockstep fit, which carries its seed."""
+
+    def __init__(self, seed, message, diagnostics=None):
+        super().__init__(message, diagnostics)
+        self.seed = seed
+
+
 def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> PosteriorDraws:
     """Sample the posterior over all model parameters.
 
@@ -574,30 +627,53 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     sweeps, whose per-coordinate scales are the first window's diagonal,
     and spends the rest on block moves.  Every phase runs
     :func:`_metropolis`, prefetched along each chain's reject path
-    (Brockwell 2006); warmup adapts between its runs.
+    (Brockwell 2006); warmup adapts between its runs.  This is the
+    one-member case of :func:`_fit_members`, the sampler that
+    :func:`fit_ensemble` runs with several members.
     Raises :class:`FitError` if every chain is stuck after warmup (with
     diagnostics attached), if a learned proposal covariance cannot be
     factored, or if the draws cannot be diagnosed.
     """
     if config is None:
         config = FitConfig()
-    if data.n == 0:
-        raise ValueError("dataset is empty")
-    if data.n_features != model.mean.n_features:
-        raise ValueError(f"model {model.name!r} takes {model.mean.n_features} feature(s), "
-                         f"the dataset has {data.n_features}")
-    if model.family == "bernoulli" and not np.all(np.isin(data.y, (0.0, 1.0))):
-        raise ValueError("bernoulli outcomes must be 0/1")
+    return _fit_members(model, [data], [config.seed], config)[0]
 
-    rngs = [np.random.default_rng(config.seed + c) for c in range(config.chains)]
-    density = _Unconstrained(model, data)
-    u = density.unconstrain(_init_from_priors(model, data, rngs, _INIT_CANDIDATES)[0])
-    lp = density(u)
-    k = model.n_params
+
+def _fit_members(model, datasets, seeds, config):
+    """The draws of each member, a dataset and a seed, under ``model`` and
+    ``config`` with its seed unread, run in lockstep: every :func:`_metropolis`
+    call scores all members' chains at once.  Chain ``c`` of the member with
+    seed ``s`` draws from ``Generator(s + c)`` alone and keeps its own start,
+    scales, covariance and accept tests, so each member's draws and diagnostics
+    are those of its lone fit.  Datasets must share one size; a member that
+    fails raises :class:`_MemberFailure`."""
+    for data in datasets:
+        if data.n == 0:
+            raise ValueError("dataset is empty")
+        if data.n_features != model.mean.n_features:
+            raise ValueError(f"model {model.name!r} takes {model.mean.n_features} feature(s), "
+                             f"the dataset has {data.n_features}")
+        if model.family == "bernoulli" and not np.all(np.isin(data.y, (0.0, 1.0))):
+            raise ValueError("bernoulli outcomes must be 0/1")
+    if len({data.n for data in datasets}) > 1:
+        raise ValueError("lockstep fits need datasets of one size")
+
+    members = [slice(i * config.chains, (i + 1) * config.chains) for i in range(len(seeds))]
+    rngs = [np.random.default_rng(s + c) for s in seeds for c in range(config.chains)]
+    density = _Unconstrained(model, datasets, config.chains)
+    starts = []
+    for data, seed, member in zip(datasets, seeds, members):
+        try:
+            starts.append(_init_from_priors(model, data, rngs[member], _INIT_CANDIDATES)[0])
+        except FitError as err:
+            raise _MemberFailure(seed, str(err)) from None
+    u = density.unconstrain(np.concatenate(starts))
+    lp = density(u, density.gather(1))
+    chains, k = u.shape
 
     # exploration: sweeps of one-coordinate moves, each coordinate with its own scale
     sweeps = min(config.warmup // 2, _INIT_SWEEPS)
-    log_scale = np.full((config.chains, k), math.log(_INIT_SCALE))
+    log_scale = np.full((chains, k), math.log(_INIT_SCALE))
     one_hot = np.tile(np.eye(k), (_RUN, 1))  # step t moves coordinate t % k
     for first in range(0, sweeps, _RUN):
         n = min(_RUN, sweeps - first)
@@ -612,10 +688,10 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     # scales, in doubling windows; each window's scale adaptation starts afresh
     chol = np.exp(log_scale)[:, None, :] * np.eye(k)  # Cholesky factor of each covariance
     reset = math.log(2.38 / math.sqrt(k))
-    history = np.empty((config.chains, config.warmup - sweeps, k))
+    history = np.empty((chains, config.warmup - sweeps, k))
     ends = _window_ends(history.shape[1])
     for start, end in zip([0, *ends], [*ends, history.shape[1]]):
-        log_lam = np.full(config.chains, reset)
+        log_lam = np.full(chains, reset)
         for first in range(start, end, _RUN):
             stop = min(first + _RUN, end)
             z, log_u = _noise(rngs, stop - first, k)
@@ -625,10 +701,12 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
             gain = sum((t + 1) ** -0.6 for t in range(first - start, stop - start))
             log_lam += gain * (alpha.mean(axis=1) - _TARGET_ACCEPT)
         if end in ends:  # estimate from the window's own draws, as Stan does
-            try:
-                chol = np.linalg.cholesky(_regularised_cov(history[:, start:end]))
-            except np.linalg.LinAlgError as err:  # a ValueError, which would read as bad input
-                raise FitError(f"cannot factor a proposal covariance: {err}") from None
+            cov = _regularised_cov(history[:, start:end])
+            for seed, member in zip(seeds, members):
+                try:
+                    chol[member] = np.linalg.cholesky(cov[member])
+                except np.linalg.LinAlgError as err:  # a ValueError: would read as bad input
+                    raise _MemberFailure(seed, f"cannot factor a proposal covariance: {err}") from None
 
     # sampling: the frozen kernel, keeping every thin-th state
     step = np.exp(log_lam)[:, None, None] * chol
@@ -643,36 +721,45 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     draws = np.concatenate(kept, axis=1)
     stacked = density.constrain(draws.reshape(-1, k))[0].reshape(draws.shape)
 
+    # the stuck check and the diagnostics, member by member
     names = model.parameter_names
-    acceptance = tuple((accepted / steps).tolist())
-    if not any(acceptance):
-        nan = dict.fromkeys(names, float("nan"))
-        diag = Diagnostics(r_hat=nan, ess=nan, acceptance=acceptance, flagged=names)
-        raise FitError("all chains stuck: zero acceptance after warmup", diagnostics=diag)
-    try:
-        diag = compute_diagnostics(stacked, None, names, acceptance=acceptance)
-    except DiagnosticsError as err:
-        raise FitError(f"cannot diagnose the fit: {err}") from None
     chain = np.repeat(np.arange(config.chains), config.samples)
-    return PosteriorDraws(draws=stacked.reshape(-1, k), chain=chain,
-                          parameter_names=names, diagnostics=diag)
+    fits = []
+    for seed, member in zip(seeds, members):
+        acceptance = tuple((accepted[member] / steps).tolist())
+        if not any(acceptance):
+            nan = dict.fromkeys(names, float("nan"))
+            diag = Diagnostics(r_hat=nan, ess=nan, acceptance=acceptance, flagged=names)
+            raise _MemberFailure(seed, "all chains stuck: zero acceptance after warmup", diag)
+        try:
+            diag = compute_diagnostics(stacked[member], None, names, acceptance=acceptance)
+        except DiagnosticsError as err:
+            raise _MemberFailure(seed, f"cannot diagnose the fit: {err}") from None
+        fits.append(PosteriorDraws(draws=stacked[member].reshape(-1, k), chain=chain,
+                                   parameter_names=names, diagnostics=diag))
+    return fits
 
 
 def fit_ensemble(
-    model: ModelSpec, data: Dataset, seeds: list[int], config: FitConfig | None = None
+    model: ModelSpec, data: Dataset | list[Dataset], seeds: list[int],
+    config: FitConfig | None = None,
 ) -> list[PosteriorDraws]:
-    """One independent fit per seed, in seed order."""
+    """One fit per seed, in seed order, each equal to ``fit(model, data,
+    replace(config, seed=s))``.  ``data`` is one dataset for every seed, or a
+    list of datasets of one size, one per seed.  The fits run in lockstep
+    (:func:`_fit_members`), so they share each density call."""
     if config is None:
         config = FitConfig()
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
-    fits = []
-    for s in seeds:
-        try:
-            fits.append(fit(model, data, replace(config, seed=int(s))))
-        except FitError as err:
-            raise FitError(f"ensemble member with seed {s} failed: {err}", err.diagnostics) from err
-    return fits
+    datasets = list(data) if isinstance(data, (list, tuple)) else [data] * len(seeds)
+    if len(datasets) != len(seeds):
+        raise ValueError(f"need one dataset per seed, got {len(datasets)} for {len(seeds)}")
+    try:
+        return _fit_members(model, datasets, [int(s) for s in seeds], config)
+    except _MemberFailure as err:
+        raise FitError(f"ensemble member with seed {err.seed} failed: {err}",
+                       err.diagnostics) from err
 
 
 # --------------------------------------------------------------------- #

@@ -46,7 +46,11 @@ class PredictiveDistribution:
         return float(self.samples.mean())
 
     def median(self) -> float:
-        return float(np.median(self.samples))
+        """``np.median`` of the samples, to the bit."""
+        lo, hi = _bracket(self.samples, (self.n - 1) // 2)
+        if self.n % 2 == 0:
+            return float((lo + hi) / 2.0)
+        return float(hi if np.isnan(hi) else lo)  # NaN when any sample is NaN
 
     def sd(self) -> float:
         return float(self.samples.std(ddof=1))
@@ -64,6 +68,38 @@ class PredictionInterval:
     @property
     def width(self) -> float:
         return self.upper - self.lower
+
+
+def _bracket(a, j):
+    """Order statistics ``j`` and ``j + 1`` of ``a`` along its last axis (``j``
+    twice when it is the last), from one single-position partition: the next
+    one is the least value above position ``j``.  NaN sorts last, so the second
+    is NaN whenever ``a`` holds one.  numpy partitions at one position several
+    times faster than at two."""
+    part = np.partition(a, j, axis=-1)
+    if j + 1 == a.shape[-1]:
+        return part[..., j], part[..., j]
+    return part[..., j], part[..., j + 1:].min(axis=-1)
+
+
+def _quantiles(a, levels):
+    """``np.quantile(a, levels, axis=-1, method="linear")``, to the bit: each
+    level's bracketing order statistics by :func:`_bracket`, then numpy's
+    ``_lerp``, which interpolates down from the upper one when the weight is at
+    least 1/2.  NaN where ``a`` holds a NaN."""
+    n = a.shape[-1]
+    out = []
+    for q in levels:
+        virtual = (n - 1) * q
+        if virtual >= n - 1:  # numpy's previous index is then -1
+            j, gamma = n - 1, virtual + 1.0
+        else:
+            j = math.floor(virtual)
+            gamma = virtual - j
+        lo, hi = _bracket(a, j)
+        diff = hi - lo
+        out.append(hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma)
+    return out
 
 
 def _predictive_samples(model: ModelSpec, theta, x, per_draw, rng):
@@ -143,7 +179,7 @@ def interval(pred: PredictiveDistribution, level: float = 0.95) -> PredictionInt
     if pred.n < 100:
         raise ValueError("need at least 100 samples for a stable interval")
     tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(pred.samples, [tail, 1.0 - tail], method="linear")
+    lo, hi = _quantiles(pred.samples, [tail, 1.0 - tail])
     return PredictionInterval(lower=float(lo), upper=float(hi))
 
 

@@ -19,6 +19,7 @@ from .inference import ModelSpec, PosteriorDraws
 from .prediction import (
     PredictiveDistribution,
     _predictive_samples,
+    _quantiles,
     average_predictions,
     posterior_predictive,
 )
@@ -199,6 +200,6 @@ def decision_boundary_band(
     t0, t1, t2 = theta[keep, 0], theta[keep, 1], theta[keep, 2]
     grid = np.asarray(grid, dtype=float)
     tail = (1.0 - level) / 2.0
-    lower, upper = np.quantile(-(t0 + t1 * grid[:, None]) / t2, [tail, 1.0 - tail], axis=1)
+    lower, upper = _quantiles(-(t0 + t1 * grid[:, None]) / t2, [tail, 1.0 - tail])
     return BoundaryBand(x1=tuple(grid.tolist()), lower=tuple(lower.tolist()),
                         upper=tuple(upper.tolist()))

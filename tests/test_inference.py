@@ -34,6 +34,7 @@ from ppmkit import (
     diagnostics,
     fit,
     fit_ensemble,
+    generate_datasets,
     log_posterior,
     normal,
     plug_in_fit,
@@ -1053,3 +1054,59 @@ class TestFitEnsemble:
         ]
         se = np.std(chain_means, ddof=1) / math.sqrt(cfg.chains)
         assert abs(pooled_samples.mean() - solo.samples.mean()) < 2.0 * se + 1e-3
+
+
+class TestLockstep:
+    """Fits run as members of one sampler pass equal their lone fits."""
+
+    CONFIG = FitConfig(chains=4, warmup=300, samples=100, thin=2)
+
+    @staticmethod
+    def assert_same_fits(lockstep, lone):
+        assert len(lockstep) == len(lone)
+        for a, b in zip(lockstep, lone):
+            assert np.array_equal(a.draws, b.draws)
+            assert np.array_equal(a.chain, b.chain)
+            assert a.diagnostics == b.diagnostics
+
+    @pytest.mark.parametrize("kind", ["exp3", "logistic", "quadratic", "scale-trend"])
+    def test_seeds_on_one_dataset_equal_lone_fits(self, kind):
+        model, data = density_case(kind)
+        seeds = [1009, 7, 3]
+        lone = [fit(model, data, dataclasses.replace(self.CONFIG, seed=s)) for s in seeds]
+        self.assert_same_fits(fit_ensemble(model, data, seeds, self.CONFIG), lone)
+
+    def test_generated_datasets_equal_lone_fits(self):
+        model = demo.regression_model("exp3")
+        datasets = generate_datasets(demo.measurement_error_example(seed=9), 3,
+                                     np.random.default_rng([9, 99]))
+        seeds = [21, 22, 23]
+        lone = [fit(model, d, dataclasses.replace(self.CONFIG, seed=s))
+                for d, s in zip(datasets, seeds)]
+        self.assert_same_fits(fit_ensemble(model, datasets, seeds, self.CONFIG), lone)
+
+    def test_two_feature_datasets_equal_lone_fits(self):
+        model = demo.classification_model()
+        datasets = [simulate_classification(300, demo.CLASSIFICATION_COEF, seed=s)
+                    for s in (10, 11)]
+        lone = [fit(model, d, dataclasses.replace(self.CONFIG, seed=s))
+                for d, s in zip(datasets, (5, 6))]
+        self.assert_same_fits(fit_ensemble(model, datasets, [5, 6], self.CONFIG), lone)
+
+    def test_a_failing_member_is_named_by_its_seed(self, monkeypatch):
+        # an absurd proposal scale rejects every move, so every member is stuck
+        monkeypatch.setattr(inference, "_INIT_SCALE", 1e12)
+        data = simulate_dataset(20, seed=1)
+        cfg = FitConfig(chains=2, warmup=1, samples=50)
+        with pytest.raises(FitError, match=r"ensemble member with seed 1[12] failed: "
+                                           r"all chains stuck") as err:
+            fit_ensemble(true_model_spec(), [data, simulate_dataset(20, seed=2)], [11, 12], cfg)
+        assert err.value.diagnostics.acceptance == (0.0, 0.0)
+
+    def test_members_need_one_dataset_each_of_one_size(self):
+        model, cfg = true_model_spec(), FitConfig(chains=2, warmup=10, samples=10)
+        data = [simulate_dataset(20, seed=1), simulate_dataset(21, seed=2)]
+        with pytest.raises(ValueError, match="one size"):
+            fit_ensemble(model, data, [1, 2], cfg)
+        with pytest.raises(ValueError, match="one dataset per seed"):
+            fit_ensemble(model, data, [1], cfg)

@@ -26,7 +26,7 @@ from ppmkit import (
     propagate_test_error,
     simulate_dataset,
 )
-from ppmkit.prediction import classical_exceedance, classical_interval
+from ppmkit.prediction import _quantiles, classical_exceedance, classical_interval
 
 Z_975 = 1.959963984540054
 
@@ -177,6 +177,59 @@ class TestInterval:
             inner = interval(pred, 0.5)
             outer = interval(pred, 0.95)
             assert outer.lower <= inner.lower <= inner.upper <= outer.upper
+
+
+class TestSelection:
+    """Interval endpoints and medians from single-position partitions carry
+    numpy's bits."""
+
+    @staticmethod
+    def samples(n, ties):
+        rng = np.random.default_rng(n)
+        a = rng.standard_t(4, n)
+        return np.round(a) if ties else a  # a handful of distinct values when tied
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("n", [100, 101, 2000, 24_001, 100_000])
+    def test_matches_numpy_quantile_and_median(self, n, ties):
+        a = self.samples(n, ties)
+        for level in (0.5, 0.9, 0.95, 0.999):
+            tail = (1.0 - level) / 2.0
+            levels = [tail, 1.0 - tail, level]
+            assert np.array_equal(_quantiles(a, levels), np.quantile(a, levels, method="linear"))
+        pred = PredictiveDistribution(x=0.0, samples=a)
+        assert pred.median() == np.median(a)
+        assert np.array_equal(_quantiles(a, [0.0, 1.0]), [a.min(), a.max()])
+
+    def test_median_of_an_even_count_averages_the_middle_pair(self):
+        # interpolating between the pair, as np.quantile does, rounds differently here
+        a = np.random.default_rng(3).permutation(np.repeat([-1.3, 2.9], 50))
+        median = PredictiveDistribution(x=0.0, samples=a).median()
+        assert median == np.median(a) != np.quantile(a, 0.5)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_rows_match_numpy_along_the_last_axis(self, ties):
+        a = self.samples(100_000, ties)[:25 * 4000].reshape(25, 4000)
+        levels = [0.025, 0.975]
+        assert np.array_equal(_quantiles(a, levels), np.quantile(a, levels, axis=1))
+
+    def test_infinite_samples_match_numpy(self):
+        a = np.concatenate([np.full(5, -np.inf), np.arange(190.0), np.full(5, np.inf)])
+        levels = [0.0, 0.01, 0.025, 0.5, 0.975, 0.99, 1.0]
+        with np.errstate(invalid="ignore"):  # inf - inf, in numpy's interpolation as here
+            got, expected = _quantiles(a, levels), np.quantile(a, levels)
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_a_nan_sample_gives_nan_endpoints(self, n):
+        a = self.samples(n, False)
+        a[n // 3] = np.nan
+        levels = [0.025, 0.5, 0.975, 1.0]
+        assert np.isnan(_quantiles(a, levels)).all() and np.isnan(np.quantile(a, levels)).all()
+        pred = PredictiveDistribution(x=0.0, samples=a)
+        assert math.isnan(pred.median()) and math.isnan(np.median(a))
+        with pytest.raises(ValueError, match="interval bounds out of order"):
+            interval(pred, 0.95)
 
 
 class TestProbExceeds:
