@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -259,21 +259,21 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """Split R-hat and bulk ESS by parameter name, the names with R-hat > 1.01,
+    each chain's retained-step acceptance rate and the fit's ``log_posterior``
+    calls, starts included; draws diagnosed from a file have neither of the last two."""
+
     r_hat: dict[str, float]
     ess: dict[str, float]
     acceptance: tuple[float, ...]
     flagged: tuple[str, ...]
+    density_calls: int | None = None
 
     def max_r_hat(self) -> float:
         return max(self.r_hat.values())
 
     def to_json(self) -> dict:
-        return {
-            "r_hat": self.r_hat,
-            "ess": self.ess,
-            "acceptance": list(self.acceptance),
-            "flagged": list(self.flagged),
-        }
+        return asdict(self)  # its tuples dump as JSON lists
 
 
 @dataclass(frozen=True)
@@ -474,12 +474,12 @@ class _Unconstrained:
 
 def _init_from_priors(model: ModelSpec, data: Dataset, rngs, candidates=1):
     """For each generator, the best of ``candidates`` prior draws by log posterior,
-    as a (len(rngs), k) matrix and its log posteriors; a generator draws again only
-    while all its candidates are out of support."""
+    as a (len(rngs), k) matrix, its log posteriors and the density calls made; a
+    generator draws again only while all its candidates are out of support."""
     k = model.n_params
     theta = np.empty((len(rngs), k))
     lp = np.full(len(rngs), _NEG_INF)
-    for _ in range(100):
+    for calls in range(1, 101):
         redraw = np.flatnonzero(~np.isfinite(lp))
         draws = np.stack([np.column_stack([p.sample(rngs[c], candidates) for p in model.priors])
                           for c in redraw])  # (redraw, candidates, k)
@@ -488,7 +488,7 @@ def _init_from_priors(model: ModelSpec, data: Dataset, rngs, candidates=1):
         theta[redraw] = draws[np.arange(len(redraw)), best]
         lp[redraw] = draw_lp[np.arange(len(redraw)), best]
         if np.isfinite(lp).all():
-            return theta, lp
+            return theta, lp, calls
     raise FitError("could not find a prior draw with finite log posterior")
 
 
@@ -534,7 +534,8 @@ def _metropolis(density, u, lp, incr, log_u):
     plus ``incr[c, t]`` and moves there when ``log_u[c, t]`` is below the log
     density ratio.  Returns the state after every step, (chains, n, k), each
     step's acceptance probability ``min(1, ratio)``, (chains, n), and each
-    chain's accepted count and final log density.
+    chain's accepted count, final log density and number of ``density`` calls
+    that held a row of it.
 
     One ``density`` call scores each chain's next ``_PREFETCH`` proposals as if
     it rejected them all.  The chain takes the first that its uniform accepts,
@@ -555,6 +556,7 @@ def _metropolis(density, u, lp, incr, log_u):
     states, since = [[s] for s in u], [[0] for _ in rows]
     u, lp, log_u, pos = u.copy(), lp.tolist(), log_u.tolist(), [0] * chains
     ahead = [depth] * chains  # each chain's steps to score in a call
+    calls = [0] * chains  # each chain's calls that held a row of it
     while min(pos) < n:
         proposal = (u[:, None] + windows[rows, pos]).reshape(-1, k)
         data = gathered
@@ -568,6 +570,7 @@ def _metropolis(density, u, lp, incr, log_u):
         first = 0  # the chain's first row in lp_new
         for c, t in enumerate(pos):
             lp_c, log_u_c, ratios = lp[c], log_u[c], log_ratios[c]
+            calls[c] += t < n
             for i, step in enumerate(range(t, t + ahead[c]), first):
                 log_ratio = lp_new[i] - lp_c
                 ratios.append(log_ratio)
@@ -582,7 +585,7 @@ def _metropolis(density, u, lp, incr, log_u):
     lengths = [b - a for steps in since for a, b in zip(steps, [*steps[1:], n])]
     path = np.repeat(np.array([s for chain in states for s in chain]), lengths, axis=0)
     return (path.reshape(chains, n, k), np.exp(np.minimum(log_ratios, 0.0)),
-            np.array([len(steps) - 1 for steps in since]), np.array(lp))
+            np.array([len(steps) - 1 for steps in since]), np.array(lp), np.array(calls))
 
 
 _FIRST_WINDOW = 25  # block steps in the first covariance window; each next one doubles
@@ -645,8 +648,9 @@ def _fit_members(model, datasets, seeds, config):
     call scores all members' chains at once.  Chain ``c`` of the member with
     seed ``s`` draws from ``Generator(s + c)`` alone and keeps its own start,
     scales, covariance and accept tests, so each member's draws and diagnostics
-    are those of its lone fit.  Datasets must share one size; a member that
-    fails raises :class:`_MemberFailure`."""
+    are those of its lone fit, and its ``Diagnostics.density_calls`` the
+    ``log_posterior`` calls of its lone fit.  Datasets must share one size; a
+    member that fails raises :class:`_MemberFailure`."""
     for data in datasets:
         if data.n == 0:
             raise ValueError("dataset is empty")
@@ -664,12 +668,22 @@ def _fit_members(model, datasets, seeds, config):
     starts = []
     for data, seed, member in zip(datasets, seeds, members):
         try:
-            starts.append(_init_from_priors(model, data, rngs[member], _INIT_CANDIDATES)[0])
+            starts.append(_init_from_priors(model, data, rngs[member], _INIT_CANDIDATES))
         except FitError as err:
             raise _MemberFailure(seed, str(err)) from None
-    u = density.unconstrain(np.concatenate(starts))
+    theta, _, calls = zip(*starts)
+    calls = np.array(calls) + 1  # and the shared first call
+    u = density.unconstrain(np.concatenate(theta))
     lp = density(u, density.gather(1))
     chains, k = u.shape
+
+    def run(incr, log_u):
+        """:func:`_metropolis` from the current state, which it advances, adding
+        each member's calls, those of its slowest chain, to ``calls``."""
+        nonlocal u, lp, calls
+        path, alpha, accepted, lp, chain_calls = _metropolis(density, u, lp, incr, log_u)
+        u, calls = path[:, -1], calls + chain_calls.reshape(-1, config.chains).max(axis=1)
+        return path, alpha, accepted
 
     # exploration: sweeps of one-coordinate moves, each coordinate with its own scale
     sweeps = min(config.warmup // 2, _INIT_SWEEPS)
@@ -679,8 +693,7 @@ def _fit_members(model, datasets, seeds, config):
         n = min(_RUN, sweeps - first)
         z, log_u = _noise(rngs, n * k, 1)
         incr = np.tile(np.exp(log_scale), n)[:, :, None] * z * one_hot[: n * k]
-        path, alpha, _, lp = _metropolis(density, u, lp, incr, log_u)
-        u = path[:, -1]
+        _, alpha, _ = run(incr, log_u)
         gain = sum((t + 1) ** -0.6 for t in range(first, first + n))
         log_scale += gain * (alpha.reshape(-1, n, k).mean(axis=1) - _TARGET_ACCEPT)
 
@@ -696,8 +709,7 @@ def _fit_members(model, datasets, seeds, config):
             stop = min(first + _RUN, end)
             z, log_u = _noise(rngs, stop - first, k)
             incr = np.exp(log_lam)[:, None, None] * np.einsum("cij,cnj->cni", chol, z)
-            history[:, first:stop], alpha, _, lp = _metropolis(density, u, lp, incr, log_u)
-            u = history[:, stop - 1]
+            history[:, first:stop], alpha, _ = run(incr, log_u)
             gain = sum((t + 1) ** -0.6 for t in range(first - start, stop - start))
             log_lam += gain * (alpha.mean(axis=1) - _TARGET_ACCEPT)
         if end in ends:  # estimate from the window's own draws, as Stan does
@@ -715,9 +727,9 @@ def _fit_members(model, datasets, seeds, config):
     for first in range(0, steps, _NOISE_CHUNK):
         z, log_u = _noise(rngs, min(_NOISE_CHUNK, steps - first), k)
         incr = np.einsum("cij,cnj->cni", step, z)
-        path, _, count, lp = _metropolis(density, u, lp, incr, log_u)
+        path, _, count = run(incr, log_u)
         kept.append(path[:, (thin - 1 - first) % thin :: thin])
-        u, accepted = path[:, -1], accepted + count
+        accepted = accepted + count
     draws = np.concatenate(kept, axis=1)
     stacked = density.constrain(draws.reshape(-1, k))[0].reshape(draws.shape)
 
@@ -725,14 +737,15 @@ def _fit_members(model, datasets, seeds, config):
     names = model.parameter_names
     chain = np.repeat(np.arange(config.chains), config.samples)
     fits = []
-    for seed, member in zip(seeds, members):
+    for seed, member, made in zip(seeds, members, calls.tolist()):
         acceptance = tuple((accepted[member] / steps).tolist())
         if not any(acceptance):
             nan = dict.fromkeys(names, float("nan"))
-            diag = Diagnostics(r_hat=nan, ess=nan, acceptance=acceptance, flagged=names)
+            diag = Diagnostics(nan, nan, acceptance, flagged=names, density_calls=made)
             raise _MemberFailure(seed, "all chains stuck: zero acceptance after warmup", diag)
         try:
-            diag = compute_diagnostics(stacked[member], None, names, acceptance=acceptance)
+            diag = compute_diagnostics(stacked[member], None, names, acceptance=acceptance,
+                                       density_calls=made)
         except DiagnosticsError as err:
             raise _MemberFailure(seed, f"cannot diagnose the fit: {err}") from None
         fits.append(PosteriorDraws(draws=stacked[member].reshape(-1, k), chain=chain,
@@ -855,9 +868,10 @@ def diagnostics(draws: PosteriorDraws) -> Diagnostics:
     return compute_diagnostics(draws.draws, draws.chain, draws.parameter_names)
 
 
-def compute_diagnostics(draws, chain, names, acceptance=()):
+def compute_diagnostics(draws, chain, names, acceptance=(), density_calls=None):
     """Diagnostics of (rows, params) ``draws`` with one ``chain`` label per row, or,
-    with ``chain=None``, of ``draws`` already stacked as (chains, samples, params)."""
+    with ``chain=None``, of ``draws`` stacked as (chains, samples, params); the fit's
+    ``acceptance`` and ``density_calls`` pass through."""
     stacked = np.asarray(draws) if chain is None else _stack_chains(draws, chain)
     if stacked.shape[0] < 2:
         raise DiagnosticsError("need at least 2 chains")
@@ -876,7 +890,7 @@ def compute_diagnostics(draws, chain, names, acceptance=()):
     r_hat = _rhat(z)
     return Diagnostics(
         r_hat=dict(zip(names, r_hat.tolist())), ess=dict(zip(names, _ess_bulk(z).tolist())),
-        acceptance=tuple(acceptance),
+        acceptance=tuple(acceptance), density_calls=density_calls,
         flagged=tuple(name for name, r in zip(names, r_hat) if r > 1.01))
 
 

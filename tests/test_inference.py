@@ -570,7 +570,8 @@ class TestPrefetch:
                 expected.append(u.copy())
         paths, alpha, count, state = [], [], 0, (start, density(start))
         for incr, log_u in runs:
-            path, run_alpha, run_count, run_lp = inference._metropolis(density, *state, incr, log_u)
+            path, run_alpha, run_count, run_lp, _ = inference._metropolis(density, *state, incr,
+                                                                          log_u)
             paths.append(path)
             alpha.append(run_alpha)
             count = count + run_count
@@ -733,8 +734,10 @@ class TestPosteriorDrawsContainer:
         assert draws.diagnostics is not None
         draws.to_csv(tmp_path / "draws.csv")
         again = diagnostics(PosteriorDraws.from_csv(tmp_path / "draws.csv"))
-        assert again.acceptance == ()  # acceptance rates are not in the draws file
-        assert dataclasses.replace(again, acceptance=draws.diagnostics.acceptance) == \
+        # acceptance rates and the density call count are not in the draws file
+        assert again.acceptance == () and again.density_calls is None
+        assert dataclasses.replace(again, acceptance=draws.diagnostics.acceptance,
+                                   density_calls=draws.diagnostics.density_calls) == \
             draws.diagnostics
 
     def test_by_chain_refuses_unequal_chains(self):
@@ -1110,3 +1113,32 @@ class TestLockstep:
             fit_ensemble(model, data, [1, 2], cfg)
         with pytest.raises(ValueError, match="one dataset per seed"):
             fit_ensemble(model, data, [1], cfg)
+
+
+class TestDensityCalls:
+    """``Diagnostics.density_calls`` is the fit's own count of ``log_posterior`` calls."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls, original = [], inference.log_posterior
+        monkeypatch.setattr(inference, "log_posterior",
+                            lambda *args: calls.append(1) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("seed", [1009, 7, 3])
+    @pytest.mark.parametrize("kind", ["exp3", "logistic", "scale-trend"])
+    def test_a_fit_counts_its_log_posterior_calls(self, kind, seed, monkeypatch):
+        model, data = density_case(kind)
+        calls = self.counting(monkeypatch)
+        draws = fit(model, data, dataclasses.replace(TestLockstep.CONFIG, seed=seed))
+        assert draws.diagnostics.density_calls == len(calls)
+        assert diagnostics(draws).density_calls is None
+
+    def test_a_stuck_fit_counts_its_calls(self, monkeypatch):
+        monkeypatch.setattr(inference, "_INIT_SCALE", 1e12)
+        calls = self.counting(monkeypatch)
+        with pytest.raises(FitError, match="all chains stuck") as err:
+            fit(true_model_spec(), simulate_dataset(20, seed=1),
+                FitConfig(chains=2, warmup=1, samples=50, seed=0))
+        assert err.value.diagnostics.density_calls == len(calls)
+        assert err.value.diagnostics.to_json()["density_calls"] == len(calls)

@@ -6,17 +6,20 @@
 
 For each demo model kind and sampler seed, one fit at ``demo.fit_settings(kind,
 seed, fast)`` on the kind's demo dataset (see :func:`case`), printed as one
-row: min bulk ESS over the parameters, max split R-hat, the ``log_posterior``
-calls of the fit (its starts included), wall time, and ``FAIL`` when min ESS
-< 400 or R-hat > 1.01.  A seed list takes integers and
-inclusive ``start:stop:step`` ranges.  Each kind ends with a summary line.
+row: min bulk ESS over the parameters, max split R-hat, the fit's
+``Diagnostics.density_calls`` (``log_posterior`` calls, its starts included),
+and ``FAIL`` when min ESS < 400 or R-hat > 1.01.  A kind's seeds are fitted in
+lockstep by one ``fit_ensemble`` call, each seed's draws those of its lone fit,
+and the kind's summary line gives the wall time of that one call.  A seed list
+takes integers and inclusive ``start:stop:step`` ranges.
 
 ``--flat-line`` counts the true_model chains that stay on its flat-line mode
 (theta1 far below 0) under the default priors: 2 chains, warmup 400, samples
 400, thin 1, sampler seeds 0-59, on ``simulate_dataset(100, seed=100)`` and
-``simulate_dataset(200, seed=200)``; a chain is stuck when its mean theta1 < 0.
+``simulate_dataset(200, seed=200)``, each dataset's 60 seeds in lockstep; a chain
+is stuck when its mean theta1 < 0.
 
-Counts, ESS and R-hat are deterministic for a given tree; wall times are not.
+Every line but the summaries' wall times is deterministic for a given tree.
 Run from the root of a checkout; the ``src`` beside this file is imported.
 """
 
@@ -29,7 +32,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import ppmkit as pk  # noqa: E402
-from ppmkit import demo, inference  # noqa: E402
+from ppmkit import demo  # noqa: E402
 
 KINDS = ("quadratic", "exp2", "exp3", "true_model", "michaelis_menten", "scale-trend",
          "logistic", "quadratic-sub")
@@ -52,69 +55,46 @@ def case(kind):
 
 
 def seed_list(text):
-    """Integers of a comma-separated list of ``n`` and inclusive ``start:stop:step``."""
+    """Integers of a comma-separated list of ``n`` and inclusive ``start:stop:step``;
+    a malformed item raises ValueError."""
     seeds = []
     for item in text.split(","):
-        start, _, rest = item.partition(":")
-        if not rest:
-            seeds.append(int(start))
-            continue
-        stop, _, step = rest.partition(":")
-        seeds.extend(range(int(start), int(stop) + 1, int(step or 1)))
+        start, stop, step = item.split(":") + [""] * (2 - item.count(":"))
+        seeds.extend(range(int(start), int(stop or start) + 1, int(step or 1)))
     return seeds
 
 
-def counted_fit(model, data, config):
-    """``fit(model, data, config)``, its ``log_posterior`` calls and wall time."""
-    original, calls = inference.log_posterior, [0]
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    inference.log_posterior = counting
-    try:
-        start = time.perf_counter()
-        draws = pk.fit(model, data, config)
-        return draws, calls[0], time.perf_counter() - start
-    finally:
-        inference.log_posterior = original
-
-
 def mixing_table(kinds, seeds, fast):
-    print(f"{'kind':<17}{'seed':>7}{'min_ess':>9}{'max_rhat':>10}{'calls':>8}{'wall_s':>8}")
+    print(f"{'kind':<17}{'seed':>7}{'min_ess':>9}{'max_rhat':>10}{'calls':>8}")
     for kind in kinds:
         model, data = case(kind)
-        rows = []
-        for seed in seeds:
-            draws, calls, wall = counted_fit(model, data, demo.fit_settings(kind, seed, fast))
-            ess, r_hat = min(draws.diagnostics.ess.values()), draws.diagnostics.max_r_hat()
-            fail = ess < MIN_ESS or r_hat > MAX_R_HAT
-            rows.append((ess, calls, wall, fail))
-            print(f"{kind:<17}{seed:>7}{ess:>9.0f}{r_hat:>10.4f}{calls:>8}{wall:>8.2f}"
-                  + ("  FAIL" if fail else ""), flush=True)
-        ess, calls, wall, fail = zip(*rows)
-        print(f"# {kind}: {sum(fail)} of {len(rows)} fail; min ESS median "
+        start = time.perf_counter()
+        fits = pk.fit_ensemble(model, data, seeds, demo.fit_settings(kind, seeds[0], fast))
+        wall = time.perf_counter() - start
+        diags = [draws.diagnostics for draws in fits]
+        ess = [min(d.ess.values()) for d in diags]
+        calls = [d.density_calls for d in diags]
+        fail = [e < MIN_ESS or d.max_r_hat() > MAX_R_HAT for e, d in zip(ess, diags)]
+        for seed, d, e, f in zip(seeds, diags, ess, fail):
+            print(f"{kind:<17}{seed:>7}{e:>9.0f}{d.max_r_hat():>10.4f}{d.density_calls:>8}"
+                  + ("  FAIL" if f else ""))
+        print(f"# {kind}: {sum(fail)} of {len(fits)} fail; min ESS median "
               f"{statistics.median(ess):.0f}, worst {min(ess):.0f}; calls mean "
               f"{statistics.mean(calls):.0f}, range {min(calls)}-{max(calls)}; "
-              f"wall mean {statistics.mean(wall):.2f} s", flush=True)
+              f"wall {wall:.2f} s for the {len(fits)} fits", flush=True)
 
 
 def flat_line_count():
     model = pk.ModelSpec(mean=pk.MeanFunctionSpec("true_model"),
                          variance=pk.VarianceFunctionSpec("constant"))
-    total = chains = 0
+    config = pk.FitConfig(chains=2, warmup=400, samples=400, thin=1)
+    total = 0
     for n, data_seed in ((100, 100), (200, 200)):
-        data = pk.simulate_dataset(n, seed=data_seed)
-        stuck = 0
-        for seed in range(60):
-            config = pk.FitConfig(chains=2, warmup=400, samples=400, thin=1, seed=seed)
-            theta1 = pk.fit(model, data, config).by_chain()[:, :, 0]
-            stuck += int((theta1.mean(axis=1) < 0.0).sum())
-            chains += 2
+        fits = pk.fit_ensemble(model, pk.simulate_dataset(n, seed=data_seed), range(60), config)
+        stuck = sum(int((d.by_chain()[:, :, 0].mean(axis=1) < 0.0).sum()) for d in fits)
         print(f"simulate_dataset({n}, seed={data_seed}): {stuck} of 120 chains stuck")
         total += stuck
-    print(f"# true_model flat-line: {total} of {chains} chains stuck")
+    print(f"# true_model flat-line: {total} of 240 chains stuck")
 
 
 def main(argv=None):
@@ -134,7 +114,13 @@ def main(argv=None):
     unknown = sorted(set(kinds) - set(KINDS))
     if unknown:
         parser.error(f"unknown kind(s) {', '.join(unknown)}; choose from {', '.join(KINDS)}")
-    mixing_table(kinds, seed_list(args.seeds), args.fast)
+    try:
+        seeds = seed_list(args.seeds)
+    except ValueError as err:
+        parser.error(f"--seeds {args.seeds!r}: {err}")
+    if not seeds:
+        parser.error(f"--seeds {args.seeds!r} names no seed")
+    mixing_table(kinds, seeds, args.fast)
 
 
 if __name__ == "__main__":
