@@ -57,6 +57,11 @@ from .simulate import Dataset, csv_text, read_csv_rows
 
 _NEG_INF = float("-inf")
 
+# The convergence floor, every parameter's bulk ESS >= MIN_BULK_ESS and split R-hat <= MAX_R_HAT
+# (Vehtari, Gelman, Simpson, Carpenter & Buerkner 2021, Bayesian Analysis 16(2), section 4)
+MIN_BULK_ESS = 400.0
+MAX_R_HAT = 1.01
+
 
 class FitError(RuntimeError):
     """Raised when sampling fails, or when no prior draw has a finite log
@@ -239,7 +244,7 @@ class FitConfig:
     ``_INIT_SCALE`` (0.5) on the unconstrained space and is tuned toward a
     mean acceptance probability of ``_TARGET_ACCEPT`` (0.30) between runs
     of a few sweeps or block steps.  The defaults mix every demo kind to
-    bulk ESS >= 400 and R-hat <= 1.01 at seed 1009.
+    the convergence floor (``MIN_BULK_ESS``, ``MAX_R_HAT``) at seed 1009.
     """
 
     chains: int = 4
@@ -259,9 +264,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Split R-hat and bulk ESS by parameter name, the names with R-hat > 1.01,
-    each chain's retained-step acceptance rate and the fit's ``log_posterior``
-    calls, starts included; draws diagnosed from a file have neither of the last two."""
+    """Split R-hat and bulk ESS by parameter name, the names below the floor (R-hat >
+    ``MAX_R_HAT`` or bulk ESS < ``MIN_BULK_ESS``), each chain's retained-step acceptance
+    rate and the fit's ``log_posterior`` calls, starts included; file draws lack the last two."""
 
     r_hat: dict[str, float]
     ess: dict[str, float]
@@ -887,11 +892,11 @@ def compute_diagnostics(draws, chain, names, acceptance=(), density_calls=None):
         raise DiagnosticsError("need at least 4 draws per chain")
     # split chains: each chain's first and last n // 2 draws, dropping an odd middle one
     z = _rank_normalize(np.concatenate([x[:, :, :n // 2], x[:, :, n - n // 2:]], axis=1))
-    r_hat = _rhat(z)
+    r_hat, ess = _rhat(z), _ess_bulk(z)
     return Diagnostics(
-        r_hat=dict(zip(names, r_hat.tolist())), ess=dict(zip(names, _ess_bulk(z).tolist())),
+        r_hat=dict(zip(names, r_hat.tolist())), ess=dict(zip(names, ess.tolist())),
         acceptance=tuple(acceptance), density_calls=density_calls,
-        flagged=tuple(name for name, r in zip(names, r_hat) if r > 1.01))
+        flagged=tuple(n for n, r, e in zip(names, r_hat, ess) if r > MAX_R_HAT or e < MIN_BULK_ESS))
 
 
 def _stack_chains(draws, chain):

@@ -26,8 +26,8 @@ from .inference import ModelSpec, PosteriorDraws
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    """Empirical outcome samples at a query input ``x``, labelled by the
-    ``model`` that produced them (``average(a, b)`` for a mixture)."""
+    """Empirical outcome samples, at least one, at a query input ``x``, labelled by
+    the ``model`` that produced them (``average(a, b)`` for a mixture)."""
 
     x: float
     samples: np.ndarray
@@ -35,6 +35,8 @@ class PredictiveDistribution:
 
     def __post_init__(self):
         s = np.array(self.samples, dtype=float)
+        if s.size == 0:
+            raise ValueError("empty predictive distribution")
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
@@ -185,8 +187,6 @@ def interval(pred: PredictiveDistribution, level: float = 0.95) -> PredictionInt
 
 def prob_exceeds(pred: PredictiveDistribution, threshold: float, direction: str = "above") -> float:
     """Fraction of samples strictly beyond the threshold."""
-    if pred.n == 0:
-        raise ValueError("empty predictive distribution")
     if direction == "above":
         return float(np.mean(pred.samples > threshold))
     if direction == "below":

@@ -341,6 +341,23 @@ class TestFit:
         assert main(args) == 1
         assert main(args + ["--allow-unconverged"]) == 0
 
+    def test_low_bulk_ess_alone_fails_the_fit(self, tmp_path, capsys):
+        # R-hat 1.0024 passes; bulk ESS as low as 343 is below the floor
+        demo.running_example().to_csv(tmp_path / "data.csv")
+        demo.regression_model("exp2").save(tmp_path / "exp2.json")
+        args = ["fit", "--data", str(tmp_path / "data.csv"),
+                "--model", str(tmp_path / "exp2.json"), "--out-draws", str(tmp_path / "d.csv"),
+                "--out-diagnostics", str(tmp_path / "diag.json"),
+                "--samples", "200", "--seed", "3"]
+        assert main(args) == 1
+        diag = json.loads((tmp_path / "diag.json").read_text())
+        low = {name for name, ess in diag["ess"].items() if ess < inference.MIN_BULK_ESS}
+        assert low and set(diag["flagged"]) == low
+        assert max(diag["r_hat"].values()) <= inference.MAX_R_HAT
+        err = capsys.readouterr().err
+        assert all(f"{name} (r_hat " in err for name in low)
+        assert main(args + ["--allow-unconverged"]) == 0
+
 
 class TestPredict:
     def test_summary_fields(self, workdir, tmp_path):

@@ -963,7 +963,7 @@ class TestDiagnostics:
     # to the bit: an (m, n, k) stack of AR(1) chains from a seed, with an AR coefficient
     PINNED = {
         "min_2x4": ((2, 4, 2), 21, 0.5, {"p0": 1.0, "p1": 1.8602846212026998},
-                    {"p0": 8.0, "p1": 3.512478192347912}, ("p1",)),
+                    {"p0": 8.0, "p1": 3.512478192347912}, ("p0", "p1")),
         "odd_3x101": ((3, 101, 2), 22, 0.7, {"p0": 1.0841906556626453, "p1": 1.0172989844748095},
                       {"p0": 55.852945471179844, "p1": 64.06976281309753}, ("p0", "p1")),
         "heavy_ties": ((4, 200, 2), 23, 0.5,

@@ -269,6 +269,11 @@ class TestProbExceeds:
         with pytest.raises(ValueError):
             prob_exceeds(pred, 1.0, "sideways")
 
+    def test_empty_predictive_is_refused_at_construction(self):
+        # so median(), interval() and prob_exceeds never see zero samples
+        with pytest.raises(ValueError, match="empty predictive distribution"):
+            PredictiveDistribution(x=0.0, samples=np.empty(0))
+
 
 class TestAveragePredictions:
     def test_self_average_is_identity_in_distribution(self):

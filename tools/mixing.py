@@ -8,10 +8,13 @@ For each demo model kind and sampler seed, one fit at ``demo.fit_settings(kind,
 seed, fast)`` on the kind's demo dataset (see :func:`case`), printed as one
 row: min bulk ESS over the parameters, max split R-hat, the fit's
 ``Diagnostics.density_calls`` (``log_posterior`` calls, its starts included),
-and ``FAIL`` when min ESS < 400 or R-hat > 1.01.  A kind's seeds are fitted in
-lockstep by one ``fit_ensemble`` call, each seed's draws those of its lone fit,
-and the kind's summary line gives the wall time of that one call.  A seed list
-takes integers and inclusive ``start:stop:step`` ranges.
+and ``FAIL`` when ``Diagnostics.flagged`` names a parameter below the convergence
+floor, bulk ESS < ``MIN_BULK_ESS`` or R-hat > ``MAX_R_HAT`` (both from
+``ppmkit.inference``).  A kind's seeds are fitted in lockstep by one
+``fit_ensemble`` call, each seed's draws those of its lone fit, and the kind's
+summary line gives the wall time of that one call.  A seed list takes
+non-negative integers and ``start:stop:step`` ranges that include ``stop``
+when a whole number of steps reaches it, whatever the step's sign.
 
 ``--flat-line`` counts the true_model chains that stay on its flat-line mode
 (theta1 far below 0) under the default priors: 2 chains, warmup 400, samples
@@ -33,10 +36,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import ppmkit as pk  # noqa: E402
 from ppmkit import demo  # noqa: E402
+from ppmkit.inference import MAX_R_HAT, MIN_BULK_ESS  # noqa: E402
 
 KINDS = ("quadratic", "exp2", "exp3", "true_model", "michaelis_menten", "scale-trend",
          "logistic", "quadratic-sub")
-MIN_ESS, MAX_R_HAT = 400.0, 1.01
 
 
 def case(kind):
@@ -56,15 +59,19 @@ def case(kind):
 
 def seed_list(text):
     """Integers of a comma-separated list of ``n`` and inclusive ``start:stop:step``;
-    a malformed item raises ValueError."""
+    a malformed item or a negative seed raises ValueError."""
     seeds = []
     for item in text.split(","):
         start, stop, step = item.split(":") + [""] * (2 - item.count(":"))
-        seeds.extend(range(int(start), int(stop or start) + 1, int(step or 1)))
+        step = int(step or 1)
+        seeds.extend(range(int(start), int(stop or start) + (1 if step > 0 else -1), step))
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("a seed must be >= 0")
     return seeds
 
 
 def mixing_table(kinds, seeds, fast):
+    print(f"# FAIL: a parameter's bulk ESS < {MIN_BULK_ESS:.0f} or R-hat > {MAX_R_HAT}")
     print(f"{'kind':<17}{'seed':>7}{'min_ess':>9}{'max_rhat':>10}{'calls':>8}")
     for kind in kinds:
         model, data = case(kind)
@@ -74,7 +81,7 @@ def mixing_table(kinds, seeds, fast):
         diags = [draws.diagnostics for draws in fits]
         ess = [min(d.ess.values()) for d in diags]
         calls = [d.density_calls for d in diags]
-        fail = [e < MIN_ESS or d.max_r_hat() > MAX_R_HAT for e, d in zip(ess, diags)]
+        fail = [bool(d.flagged) for d in diags]
         for seed, d, e, f in zip(seeds, diags, ess, fail):
             print(f"{kind:<17}{seed:>7}{e:>9.0f}{d.max_r_hat():>10.4f}{d.density_calls:>8}"
                   + ("  FAIL" if f else ""))
