@@ -278,8 +278,10 @@ def cmd_predict(args) -> int:
             preds.append(pred)
         per_model[m.name] = preds
 
-    averaged = [average_predictions(list(preds)) for preds in zip(*per_model.values())]
-    combined = averaged if len(per_model) > 1 and args.combine == "average" else None
+    combine = len(per_model) > 1 and args.combine == "average"
+    averaged = ([average_predictions(list(preds)) for preds in zip(*per_model.values())]
+                if combine or args.out_widths else None)
+    combined = averaged if combine else None
 
     results = [
         _summary_entry(pred, args.level, args.threshold, args.direction)

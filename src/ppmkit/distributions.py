@@ -68,10 +68,18 @@ def bernoulli_logpmf(y, p):
 # --------------------------------------------------------------------- #
 
 
+def _locate(z, mu, sigma):
+    """``mu + sigma * z`` to the bit (IEEE ``*`` and ``+`` commute), in ``z``'s buffer."""
+    z *= sigma
+    z += mu
+    return z
+
+
 @dataclass(frozen=True)
 class Family:
     """An outcome family: ``logpdf``, ``cdf`` and ``ppf`` take ``(y or p, mu, sigma,
-    df)`` and ``sample`` takes ``(mu, sigma, df, rng, size)``, ignoring unused ones."""
+    df)`` and ``sample`` takes ``(mu, sigma, df, rng, size)``, ignoring unused ones; a
+    continuous ``ppf`` also takes ``out``, the buffer its quantile is written to."""
 
     logpdf: Callable
     cdf: Callable
@@ -85,16 +93,16 @@ OUTCOMES = {
     "normal": Family(
         logpdf=lambda y, mu, sigma, df: normal_logpdf(y, mu, sigma),
         cdf=lambda y, mu, sigma, df: special.ndtr((y - mu) / sigma),
-        ppf=lambda p, mu, sigma, df: mu + sigma * special.ndtri(p),
-        sample=lambda mu, sigma, df, rng, size: mu + sigma * rng.standard_normal(size),
+        ppf=lambda p, mu, sigma, df, out=None: _locate(special.ndtri(p, out=out), mu, sigma),
+        sample=lambda mu, sigma, df, rng, size: _locate(rng.standard_normal(size), mu, sigma),
     ),
     "student_t": Family(
         logpdf=lambda y, mu, sigma, df: student_t_logpdf(y, mu, sigma, df),
         cdf=lambda y, mu, sigma, df: special.stdtr(df, (y - mu) / sigma),
-        # stdtrit(df, 0) reads +inf, so p == 0 is mapped to -inf explicitly
-        ppf=lambda p, mu, sigma, df: mu + sigma * np.where(
-            p == 0.0, -np.inf, special.stdtrit(df, p)),
-        sample=lambda mu, sigma, df, rng, size: mu + sigma * rng.standard_t(df, size=size),
+        # stdtrit(df, 0) reads +inf, so p == 0 (tested before out overwrites p) is -inf
+        ppf=lambda p, mu, sigma, df, out=None: _locate(np.where(
+            p == 0.0, -np.inf, special.stdtrit(df, p, out=out)), mu, sigma),
+        sample=lambda mu, sigma, df, rng, size: _locate(rng.standard_t(df, size=size), mu, sigma),
         has_df=True,
     ),
     "bernoulli": Family(
@@ -158,17 +166,16 @@ def _truncate(entry, mu, sigma, df, lower, upper):
 
 
 def _truncated_ppf(entry, u, mu, sigma, df, truncation):
-    """Truncated inverse CDF at ``u`` in [0, 1); ``u`` may be overwritten."""
+    """Truncated inverse CDF at ``u``, an array in [0, 1) that each step overwrites."""
     lo, hi, flip, f_lo, mass = truncation
     mirror = np.any(flip)
     if mirror:
-        u = np.where(flip, 1.0 - u, u)
-    u *= mass  # in place: a second array live across the ppf call costs page faults
-    u += f_lo
-    y = entry.ppf(u, mu, sigma, df)
-    if mirror:
-        y = np.where(flip, mu + (mu - y), y)
-    return np.clip(y, lo, hi)
+        np.subtract(1.0, u, out=u, where=flip)
+    y = entry.ppf(_locate(u, f_lo, mass), mu, sigma, df, out=u)  # u onto [f_lo, f_lo + mass]
+    if mirror:  # mu + (mu - y), rounded in that order
+        np.subtract(mu, y, out=y, where=flip)
+        np.add(mu, y, out=y, where=flip)
+    return np.clip(y, lo, hi, out=y)
 
 
 def sample_truncated(family, mu, sigma, df, lower, upper, rng, size):
@@ -178,7 +185,8 @@ def sample_truncated(family, mu, sigma, df, lower, upper, rng, size):
     if entry is None or not entry.continuous:
         raise ValueError(f"family {family!r} does not support truncation")
     truncation = _truncate(entry, mu, sigma, df, lower, upper)
-    return _truncated_ppf(entry, rng.random(size), mu, sigma, df, truncation)
+    # an array even for size None, whose 0-d result [()] reads as a scalar
+    return _truncated_ppf(entry, np.asarray(rng.random(size)), mu, sigma, df, truncation)[()]
 
 
 # --------------------------------------------------------------------- #

@@ -9,7 +9,9 @@ noisy-input predictive of :func:`ppmkit.uncertainty.propagate_test_error`,
 share one sampler, :func:`_predictive_samples`.  A distribution is only
 its query, its samples and a model label; model averaging pools leading
 slices of each model's samples, in model order, under the label
-``average(a, b, c)``.
+``average(a, b, c)``.  A query allocates its samples once: they are drawn in
+place and handed over read-only, a distribution copies only an array it could
+not keep as it is, and :func:`interval` partitions one scratch copy.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ class PredictiveDistribution:
     model: str = ""
 
     def __post_init__(self):
-        s = np.array(self.samples, dtype=float)
+        s = self.samples
+        if not (type(s) is np.ndarray and s.dtype == np.float64 and not s.flags.writeable):
+            s = np.array(s, dtype=float)  # no caller can change the copy
+            s.flags.writeable = False
         if s.size == 0:
             raise ValueError("empty predictive distribution")
-        s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     @property
@@ -49,7 +53,7 @@ class PredictiveDistribution:
 
     def median(self) -> float:
         """``np.median`` of the samples, to the bit."""
-        lo, hi = _bracket(self.samples, (self.n - 1) // 2)
+        lo, hi = _bracket(self.samples.copy(), (self.n - 1) // 2)
         if self.n % 2 == 0:
             return float((lo + hi) / 2.0)
         return float(hi if np.isnan(hi) else lo)  # NaN when any sample is NaN
@@ -74,22 +78,24 @@ class PredictionInterval:
 
 def _bracket(a, j):
     """Order statistics ``j`` and ``j + 1`` of ``a`` along its last axis (``j``
-    twice when it is the last), from one single-position partition: the next
-    one is the least value above position ``j``.  NaN sorts last, so the second
-    is NaN whenever ``a`` holds one.  numpy partitions at one position several
-    times faster than at two."""
-    part = np.partition(a, j, axis=-1)
+    twice when it is the last), from one single-position partition of scratch ``a``
+    in place: the first is a view, so read it before ``a`` moves again, and the
+    next the least value above position ``j``, NaN whenever ``a`` holds one (NaN
+    sorts last).  numpy partitions at one position several times faster than at two."""
+    a.partition(j, axis=-1)
     if j + 1 == a.shape[-1]:
-        return part[..., j], part[..., j]
-    return part[..., j], part[..., j + 1:].min(axis=-1)
+        return a[..., j], a[..., j]
+    return a[..., j], a[..., j + 1:].min(axis=-1)
 
 
 def _quantiles(a, levels):
     """``np.quantile(a, levels, axis=-1, method="linear")``, to the bit: each
     level's bracketing order statistics by :func:`_bracket`, then numpy's
     ``_lerp``, which interpolates down from the upper one when the weight is at
-    least 1/2.  NaN where ``a`` holds a NaN."""
+    least 1/2, on one scratch copy of ``a`` partitioned level by level.  NaN where
+    ``a`` holds a NaN."""
     n = a.shape[-1]
+    scratch = a.copy()
     out = []
     for q in levels:
         virtual = (n - 1) * q
@@ -98,7 +104,7 @@ def _quantiles(a, levels):
         else:
             j = math.floor(virtual)
             gamma = virtual - j
-        lo, hi = _bracket(a, j)
+        lo, hi = _bracket(scratch, j)
         diff = hi - lo
         out.append(hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma)
     return out
@@ -124,12 +130,14 @@ def _predictive_samples(model: ModelSpec, theta, x, per_draw, rng):
             raise ValueError("model scale must be positive at every draw")
         sigma = sigma[:, None]
     size = (rows, per_draw)
-    if model.truncation is not None:
-        lo, hi = model.truncation
-        return dist.sample_truncated(
-            model.family, mu[:, None], sigma, model.df, lo, hi, rng, size
-        ).ravel()
-    return dist.sample_values(model.family, mu[:, None], sigma, model.df, rng, size).ravel()
+    if model.truncation is None:
+        samples = dist.sample_values(model.family, mu[:, None], sigma, model.df, rng, size)
+    else:
+        samples = dist.sample_truncated(model.family, mu[:, None], sigma, model.df,
+                                        *model.truncation, rng, size)
+    samples = samples.ravel()
+    samples.flags.writeable = False  # fresh: the distribution keeps it uncopied
+    return samples
 
 
 def posterior_predictive(
@@ -188,9 +196,9 @@ def interval(pred: PredictiveDistribution, level: float = 0.95) -> PredictionInt
 def prob_exceeds(pred: PredictiveDistribution, threshold: float, direction: str = "above") -> float:
     """Fraction of samples strictly beyond the threshold."""
     if direction == "above":
-        return float(np.mean(pred.samples > threshold))
+        return float(np.count_nonzero(pred.samples > threshold) / pred.n)
     if direction == "below":
-        return float(np.mean(pred.samples < threshold))
+        return float(np.count_nonzero(pred.samples < threshold) / pred.n)
     raise ValueError("direction must be 'above' or 'below'")
 
 
@@ -205,9 +213,11 @@ def average_predictions(preds: list[PredictiveDistribution]) -> PredictiveDistri
     if any(p.x != x for p in preds):
         raise ValueError("predictions must share the same query x")
     m = min(p.n for p in preds)
+    samples = np.concatenate([p.samples[:m] for p in preds])
+    samples.flags.writeable = False  # fresh: the distribution keeps it uncopied
     return PredictiveDistribution(
         x=x,
-        samples=np.concatenate([p.samples[:m] for p in preds]),
+        samples=samples,
         model="average(" + ", ".join(p.model or "model" for p in preds) + ")",
     )
 

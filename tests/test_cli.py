@@ -23,6 +23,7 @@ from ppmkit import (
     ModelSpec,
     PosteriorDraws,
     VarianceFunctionSpec,
+    cli,
     demo,
     inference,
 )
@@ -139,7 +140,7 @@ class TestFit:
         assert draws.n_draws == 2000
         diag = json.loads((workdir / "diag.json").read_text())
         assert set(diag["r_hat"]) == {"theta1", "theta2", "sigma"}
-        assert max(diag["r_hat"].values()) <= 1.05
+        assert diag["flagged"] == []
         assert diag["run_config"]["command"] == "fit"
 
     def test_missing_dataset_is_usage_error(self, workdir, tmp_path):
@@ -414,6 +415,14 @@ class TestPredict:
         assert rc == 0
         xs = [r["x"] for r in json.loads(summary.read_text())["results"]]
         assert xs == [-0.5, -0.125, 0.25, 0.625, 1.0]
+
+    def test_one_model_without_widths_builds_no_average(self, workdir, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "average_predictions", lambda preds: calls.append(preds))
+        rc = main(["predict", "--draws", str(workdir / "draws.csv"),
+                   "--model", str(workdir / "model.json"), "--grid", "0:1:3",
+                   "--out-summary", str(tmp_path / "s.json"), "--seed", "7"])
+        assert rc == 0 and calls == []
 
     def test_grid_widths_table(self, workdir, tmp_path):
         widths = tmp_path / "widths.csv"

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from ppmkit import DistributionSpec, bernoulli, distributions, normal, student_t, truncated_normal
-from ppmkit.distributions import OUTCOMES, sample_truncated
+from ppmkit.distributions import OUTCOMES, sample_truncated, sample_values
 
 # Frozen high-precision oracle values (mpmath, 30 digits).
 NORM01_LOGPDF_AT_0 = -0.91893853320467274178
@@ -477,3 +477,94 @@ class TestSharedTruncation:
         draws = d.sample(np.random.default_rng(7), 500)
         assert np.array_equal(draws, expected)
         assert calls == []
+
+
+def _fresh_ppf(family, p, mu, sigma, df):
+    """The family quantile with every step in a fresh array."""
+    if family == "normal":
+        return mu + sigma * special.ndtri(p)
+    return mu + sigma * np.where(p == 0.0, -np.inf, special.stdtrit(df, p))
+
+
+def _fresh_truncated_ppf(family, u, mu, sigma, df, lower, upper):
+    """The truncated inverse CDF with every step in a fresh array."""
+    lo, hi, flip, f_lo, mass = distributions._truncate(OUTCOMES[family], mu, sigma, df,
+                                                       lower, upper)
+    y = _fresh_ppf(family, np.where(flip, 1.0 - u, u) * mass + f_lo, mu, sigma, df)
+    return np.clip(np.where(flip, mu + (mu - y), y), lo, hi)
+
+
+class TestInPlaceBits:
+    """Draws and quantiles are transformed in their own buffer; every value
+    equals the fresh-array formula to the bit."""
+
+    mu = np.array([[-1.2], [0.4], [3.0]])
+    sigma = np.array([[0.3], [1.1], [2.5]])
+    families = pytest.mark.parametrize("family, df", [("normal", None), ("student_t", 4.0)])
+    # a lower bound (mirrored in the row below it), two bounds, an interval above
+    # every row's mu (all rows mirrored) and an upper bound
+    bounds = pytest.mark.parametrize("lower, upper", [(0.0, None), (-1.0, 2.0), (5.0, None),
+                                                      (None, -3.0)])
+
+    @families
+    def test_sample_values(self, family, df):
+        got = sample_values(family, self.mu, self.sigma, df, np.random.default_rng(5), (3, 400))
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((3, 400)) if df is None else rng.standard_t(df, size=(3, 400))
+        assert np.array_equal(got, self.mu + self.sigma * z)
+
+    @families
+    @bounds
+    def test_sample_truncated(self, family, df, lower, upper):
+        got = sample_truncated(family, self.mu, self.sigma, df, lower, upper,
+                               np.random.default_rng(9), (3, 400))
+        u = np.random.default_rng(9).random((3, 400))
+        expected = _fresh_truncated_ppf(family, u, self.mu, self.sigma, df, lower, upper)
+        assert np.array_equal(got, expected)
+        if lower is not None:
+            assert np.all(got >= lower)
+
+    @families
+    def test_sample_truncated_without_a_size_is_a_scalar(self, family, df):
+        got = sample_truncated(family, 0.3, 1.4, df, 0.5, None, np.random.default_rng(4), None)
+        u = np.random.default_rng(4).random()
+        assert type(got) is np.float64
+        assert got == _fresh_truncated_ppf(family, u, 0.3, 1.4, df, 0.5, None)
+
+    @pytest.mark.parametrize("d", [
+        normal(0.7, 1.3),
+        student_t(-0.4, 2.0, df=3.0),
+        truncated_normal(0.0, 2.0, lower=0.0),
+        truncated_normal(0.0, 5.0, lower=-1.0, upper=2.0),
+        truncated_normal(0.2, 1.0, lower=3.0),  # mirrored through mu
+    ])
+    def test_spec_sample_and_quantile(self, d):
+        family = distributions.BOUNDED.get(d.family, d.family)
+        p = np.linspace(0.01, 0.99, 99)
+        u = np.random.default_rng(3).random(500)
+        if d.family == "truncated_normal":
+            quantiles = _fresh_truncated_ppf(family, p, d.mu, d.sigma, d.df, d.lower, d.upper)
+            draws = _fresh_truncated_ppf(family, u, d.mu, d.sigma, d.df, d.lower, d.upper)
+        else:
+            quantiles = _fresh_ppf(family, p, d.mu, d.sigma, d.df)
+            rng = np.random.default_rng(3)
+            z = rng.standard_normal(500) if d.df is None else rng.standard_t(d.df, size=500)
+            draws = d.mu + d.sigma * z
+        assert np.array_equal(d.quantile(p), quantiles)
+        assert d.quantile(0.3) == float(quantiles[29])
+        assert np.array_equal(d.sample(np.random.default_rng(3), 500), draws)
+
+    def test_student_t_zero_probability_is_minus_infinity_in_place(self):
+        p = np.array([0.0, 0.25, 0.0, 0.5, 0.99])
+        expected = _fresh_ppf("student_t", p, 0.3, 1.4, 4.0)
+        assert expected[0] == expected[2] == -np.inf
+        buffer = p.copy()
+        got = OUTCOMES["student_t"].ppf(buffer, 0.3, 1.4, 4.0, out=buffer)
+        assert np.array_equal(got, expected)
+        # a truncated draw at u == 0 with no lower bound is the -inf lower end
+        truncation = distributions._truncate(OUTCOMES["student_t"], 0.3, 1.4, 4.0, None, 2.0)
+        got = distributions._truncated_ppf(OUTCOMES["student_t"], p.copy(), 0.3, 1.4, 4.0,
+                                           truncation)
+        assert np.array_equal(got, _fresh_truncated_ppf("student_t", p, 0.3, 1.4, 4.0,
+                                                        None, 2.0))
+        assert got[0] == -np.inf

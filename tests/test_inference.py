@@ -346,8 +346,7 @@ class TestFit:
         # the long setting exp3 used before it was sampled by its rise
         draws = fit(demo.regression_model("exp3"), demo.running_example(),
                     FitConfig(warmup=4000, samples=2000, thin=8, seed=1009))
-        assert draws.diagnostics.max_r_hat() <= 1.01
-        assert min(draws.diagnostics.ess.values()) >= 400
+        assert not draws.diagnostics.flagged
 
     @pytest.mark.parametrize("kind", ["quadratic", "exp2", "exp3", "true_model",
                                       "michaelis_menten", "scale-trend", "logistic",
@@ -368,8 +367,7 @@ class TestFit:
         config = demo.fit_settings(kind, 1009)
         assert config == FitConfig(seed=1009)
         draws = fit(model, data, config)
-        assert draws.diagnostics.max_r_hat() <= 1.01
-        assert min(draws.diagnostics.ess.values()) >= 400
+        assert not draws.diagnostics.flagged
 
     def test_no_scale_trend_chain_gets_stuck(self):
         # the main mode sits near a log posterior of 54; a chain caught in a
@@ -683,8 +681,7 @@ class TestMichaelisMenten:
         # with an unbounded Km prior this seed read min bulk ESS 291 and R-hat 1.027
         draws = fit(demo.regression_model("michaelis_menten"), demo.running_example(),
                     FitConfig(seed=409))
-        assert draws.diagnostics.max_r_hat() <= 1.01
-        assert min(draws.diagnostics.ess.values()) >= 400
+        assert not draws.diagnostics.flagged
 
 
 class TestPushforward:

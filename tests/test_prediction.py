@@ -231,6 +231,49 @@ class TestSelection:
         with pytest.raises(ValueError, match="interval bounds out of order"):
             interval(pred, 0.95)
 
+    @pytest.mark.parametrize("shape", [(4000,), (25, 400)])
+    def test_input_is_left_unchanged(self, shape):
+        a = self.samples(10_000, False)[:math.prod(shape)].reshape(shape)
+        before = a.copy()
+        levels = [0.025, 0.975, 0.5]
+        # the scratch copy's endpoint rows are read before the next level moves them
+        assert np.array_equal(_quantiles(a, levels), np.quantile(before, levels, axis=-1))
+        assert np.array_equal(a, before)
+        pred = PredictiveDistribution(x=0.0, samples=a.ravel())
+        interval(pred)
+        pred.median()
+        assert np.array_equal(pred.samples, before.ravel())
+
+
+class TestSampleOwnership:
+    """A distribution copies a caller's writeable array and shares a read-only one."""
+
+    def test_a_writeable_input_is_copied(self):
+        a = np.linspace(0.0, 1.0, 200)
+        pred = PredictiveDistribution(x=0.0, samples=a)
+        a[:] = 7.0
+        assert np.array_equal(pred.samples, np.linspace(0.0, 1.0, 200))
+        assert not pred.samples.flags.writeable
+
+    def test_a_read_only_input_is_shared(self):
+        a = np.linspace(0.0, 1.0, 200)
+        a.flags.writeable = False
+        assert np.shares_memory(PredictiveDistribution(x=0.0, samples=a).samples, a)
+
+    def test_other_inputs_become_read_only_float64(self):
+        for samples in ([0.5, 1.5], np.arange(3), np.ones(3, dtype=np.float32)):
+            s = PredictiveDistribution(x=0.0, samples=samples).samples
+            assert s.dtype == np.float64 and not s.flags.writeable
+
+    def test_library_samples_are_handed_over_read_only(self):
+        model = constant_model()
+        draws = degenerate_draws([0.0, 1.0, 0.5])
+        preds = [posterior_predictive(model, draws, 0.0, rng=np.random.default_rng(1)),
+                 propagate_test_error(model, draws, MeasuredValue(0.0, 0.1), n_x=200)]
+        preds.append(average_predictions(preds))
+        for pred in preds:
+            assert not pred.samples.flags.writeable
+
 
 class TestProbExceeds:
     def test_two_compound_threshold_decision(self):
