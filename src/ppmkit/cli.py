@@ -198,7 +198,9 @@ def cmd_fit(args) -> int:
 
     if args.plug_in:
         theta = plug_in_fit(model, data, seed=args.seed)
-        _write_atomic(args.out_draws, csv_text(model.parameter_names, [list(theta)]))
+        # one draw of chain 0, so predict reads it as draws
+        _write_atomic(args.out_draws,
+                      PosteriorDraws(theta[None], [0], model.parameter_names).to_csv_text())
         write_diagnostics({"mode": "plug_in"})
         return 0
     config = FitConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FitConfig)})
@@ -314,6 +316,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise UsageError(f"--level must lie in (0, 1), got {args.level}")
     model = ModelSpec.load(_require_file(args.model, "model spec"))
     if model.family != "bernoulli":
         raise UsageError("decompose requires a classification (bernoulli) model")
@@ -472,6 +476,7 @@ def cmd_report(args) -> int:
 
     # ---- measurement error --------------------------------------------
     base_pred = predictive(exp3, "exp3_full", 0.15, 10, 30, 0)
+    baseline = _summary_entry(base_pred, level)
     noisy_pred = propagate_test_error(
         exp3, draws["exp3_full"], MeasuredValue(0.15, 0.06), n_x=1000,
         rng=np.random.default_rng([seed, 30, 1]),
@@ -481,7 +486,7 @@ def cmd_report(args) -> int:
         {
             "x": 0.15,
             "x_se": 0.06,
-            "baseline": _summary_entry(base_pred, level),
+            "baseline": baseline,
             "with_input_error": _summary_entry(noisy_pred, level),
             "variance_ratio": noisy_pred.samples.var(ddof=1) / base_pred.samples.var(ddof=1),
         },
@@ -498,7 +503,7 @@ def cmd_report(args) -> int:
         {
             "x": 0.15,
             "m_datasets": args.m_datasets,
-            "baseline": _summary_entry(base_pred, level),
+            "baseline": baseline,
             "per_dataset": per_fit,
             "pooled": _summary_entry(pooled, level),
         },

@@ -22,13 +22,15 @@ so warmup adapts its scales between runs of ``_RUN`` sweeps or steps.
 depend on the other chains.  That lets one sampler pass run several fits of
 one model and setting, its members, each a dataset and a seed: every kernel
 call scores all members' chains, each row against its own member's data, and
-each member's draws are those of its lone fit.  :func:`fit` is the
-one-member case and :func:`fit_ensemble` runs several seeds, on one dataset
-or one each.  ``fit`` diagnoses the (chains, samples,
-params) stack of its chains once; draws read from CSV carry no
-diagnostics, and :func:`diagnostics` computes them on request.  The split
-draws, a (params, 2 * chains, samples // 2) array, are ranked by one sort per
-parameter; split R-hat and bulk ESS then run once over the whole array.
+each member's draws are those of its lone fit.  :func:`fit_ensemble` is the
+sampler, its seeds on one dataset or one each, and :func:`fit` its one-seed
+case; a failure in it raises :class:`FitError` ``"seed s: reason"``.
+:func:`fit` and :func:`plug_in_fit` refuse the same datasets.  Each fit
+diagnoses the (chains, samples, params) stack of its chains once; draws read
+from CSV carry no diagnostics, and :func:`diagnostics` computes them on
+request.  The split draws, a (params, 2 * chains, samples // 2) array, are
+ranked by one sort per parameter; split R-hat and bulk ESS then run once over
+the whole array.
 """
 
 from __future__ import annotations
@@ -616,16 +618,31 @@ def _regularised_cov(draws):
     return n / (n + 5.0) * cov + 1e-3 * 5.0 / (n + 5.0) * np.eye(k)
 
 
-class _MemberFailure(FitError):
-    """The FitError of one member of a lockstep fit, which carries its seed."""
-
-    def __init__(self, seed, message, diagnostics=None):
-        super().__init__(message, diagnostics)
-        self.seed = seed
+def _check_data(model: ModelSpec, data: Dataset) -> None:
+    """Refuse, by ValueError, a dataset ``model`` cannot be fitted to: an empty one,
+    one with another feature count, or bernoulli outcomes other than 0 and 1."""
+    if data.n == 0:
+        raise ValueError("dataset is empty")
+    if data.n_features != model.mean.n_features:
+        raise ValueError(f"model {model.name!r} takes {model.mean.n_features} feature(s), "
+                         f"the dataset has {data.n_features}")
+    if model.family == "bernoulli" and not np.all(np.isin(data.y, (0.0, 1.0))):
+        raise ValueError("bernoulli outcomes must be 0/1")
 
 
 def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> PosteriorDraws:
-    """Sample the posterior over all model parameters.
+    """Sample the posterior over all model parameters: :func:`fit_ensemble` with
+    the one seed ``config.seed``."""
+    return fit_ensemble(model, data, [(config or FitConfig()).seed], config)[0]
+
+
+def fit_ensemble(
+    model: ModelSpec, data: Dataset | list[Dataset], seeds: list[int],
+    config: FitConfig | None = None,
+) -> list[PosteriorDraws]:
+    """One posterior fit per seed, in seed order, under ``model`` and ``config``
+    with its seed unread; ``data`` is one dataset for every seed, or a list of
+    datasets of one size, one per seed.
 
     The sampler is the module's adaptive Metropolis on the parameterisation
     of :class:`_Unconstrained`: block moves as in Haario, Saksman and
@@ -635,47 +652,38 @@ def fit(model: ModelSpec, data: Dataset, config: FitConfig | None = None) -> Pos
     sweeps, whose per-coordinate scales are the first window's diagonal,
     and spends the rest on block moves.  Every phase runs
     :func:`_metropolis`, prefetched along each chain's reject path
-    (Brockwell 2006); warmup adapts between its runs.  This is the
-    one-member case of :func:`_fit_members`, the sampler that
-    :func:`fit_ensemble` runs with several members.
-    Raises :class:`FitError` if every chain is stuck after warmup (with
-    diagnostics attached), if a learned proposal covariance cannot be
-    factored, or if the draws cannot be diagnosed.
+    (Brockwell 2006); warmup adapts between its runs.
+
+    The fits run in lockstep, sharing every :func:`_metropolis` call.  Chain
+    ``c`` of the fit with seed ``s`` draws from ``Generator(s + c)`` alone and
+    keeps its own start, scales, covariance and accept tests, so each fit, its
+    diagnostics and ``density_calls`` included, is its lone :func:`fit`.  A
+    failing fit raises :class:`FitError` ``"seed s: reason"``: all chains stuck
+    after warmup (diagnostics attached), a proposal covariance that cannot be
+    factored, undiagnosable draws, or no finite prior draw to start from.
     """
     if config is None:
         config = FitConfig()
-    return _fit_members(model, [data], [config.seed], config)[0]
-
-
-def _fit_members(model, datasets, seeds, config):
-    """The draws of each member, a dataset and a seed, under ``model`` and
-    ``config`` with its seed unread, run in lockstep: every :func:`_metropolis`
-    call scores all members' chains at once.  Chain ``c`` of the member with
-    seed ``s`` draws from ``Generator(s + c)`` alone and keeps its own start,
-    scales, covariance and accept tests, so each member's draws and diagnostics
-    are those of its lone fit, and its ``Diagnostics.density_calls`` the
-    ``log_posterior`` calls of its lone fit.  Datasets must share one size; a
-    member that fails raises :class:`_MemberFailure`."""
-    for data in datasets:
-        if data.n == 0:
-            raise ValueError("dataset is empty")
-        if data.n_features != model.mean.n_features:
-            raise ValueError(f"model {model.name!r} takes {model.mean.n_features} feature(s), "
-                             f"the dataset has {data.n_features}")
-        if model.family == "bernoulli" and not np.all(np.isin(data.y, (0.0, 1.0))):
-            raise ValueError("bernoulli outcomes must be 0/1")
-    if len({data.n for data in datasets}) > 1:
+    if len(seeds) == 0:
+        raise ValueError("need at least one seed")
+    datasets = list(data) if isinstance(data, (list, tuple)) else [data] * len(seeds)
+    if len(datasets) != len(seeds):
+        raise ValueError(f"need one dataset per seed, got {len(datasets)} for {len(seeds)}")
+    for dataset in datasets:
+        _check_data(model, dataset)
+    if len({dataset.n for dataset in datasets}) > 1:
         raise ValueError("lockstep fits need datasets of one size")
 
+    seeds = [int(s) for s in seeds]
     members = [slice(i * config.chains, (i + 1) * config.chains) for i in range(len(seeds))]
     rngs = [np.random.default_rng(s + c) for s in seeds for c in range(config.chains)]
     density = _Unconstrained(model, datasets, config.chains)
     starts = []
-    for data, seed, member in zip(datasets, seeds, members):
+    for dataset, seed, member in zip(datasets, seeds, members):
         try:
-            starts.append(_init_from_priors(model, data, rngs[member], _INIT_CANDIDATES))
+            starts.append(_init_from_priors(model, dataset, rngs[member], _INIT_CANDIDATES))
         except FitError as err:
-            raise _MemberFailure(seed, str(err)) from None
+            raise FitError(f"seed {seed}: {err}") from None
     theta, _, calls = zip(*starts)
     calls = np.array(calls) + 1  # and the shared first call
     u = density.unconstrain(np.concatenate(theta))
@@ -723,7 +731,8 @@ def _fit_members(model, datasets, seeds, config):
                 try:
                     chol[member] = np.linalg.cholesky(cov[member])
                 except np.linalg.LinAlgError as err:  # a ValueError: would read as bad input
-                    raise _MemberFailure(seed, f"cannot factor a proposal covariance: {err}") from None
+                    raise FitError(f"seed {seed}: cannot factor a proposal covariance: {err}"
+                                   ) from None
 
     # sampling: the frozen kernel, keeping every thin-th state
     step = np.exp(log_lam)[:, None, None] * chol
@@ -747,37 +756,15 @@ def _fit_members(model, datasets, seeds, config):
         if not any(acceptance):
             nan = dict.fromkeys(names, float("nan"))
             diag = Diagnostics(nan, nan, acceptance, flagged=names, density_calls=made)
-            raise _MemberFailure(seed, "all chains stuck: zero acceptance after warmup", diag)
+            raise FitError(f"seed {seed}: all chains stuck: zero acceptance after warmup", diag)
         try:
             diag = compute_diagnostics(stacked[member], None, names, acceptance=acceptance,
                                        density_calls=made)
         except DiagnosticsError as err:
-            raise _MemberFailure(seed, f"cannot diagnose the fit: {err}") from None
+            raise FitError(f"seed {seed}: cannot diagnose the fit: {err}") from None
         fits.append(PosteriorDraws(draws=stacked[member].reshape(-1, k), chain=chain,
                                    parameter_names=names, diagnostics=diag))
     return fits
-
-
-def fit_ensemble(
-    model: ModelSpec, data: Dataset | list[Dataset], seeds: list[int],
-    config: FitConfig | None = None,
-) -> list[PosteriorDraws]:
-    """One fit per seed, in seed order, each equal to ``fit(model, data,
-    replace(config, seed=s))``.  ``data`` is one dataset for every seed, or a
-    list of datasets of one size, one per seed.  The fits run in lockstep
-    (:func:`_fit_members`), so they share each density call."""
-    if config is None:
-        config = FitConfig()
-    if len(seeds) == 0:
-        raise ValueError("need at least one seed")
-    datasets = list(data) if isinstance(data, (list, tuple)) else [data] * len(seeds)
-    if len(datasets) != len(seeds):
-        raise ValueError(f"need one dataset per seed, got {len(datasets)} for {len(seeds)}")
-    try:
-        return _fit_members(model, datasets, [int(s) for s in seeds], config)
-    except _MemberFailure as err:
-        raise FitError(f"ensemble member with seed {err.seed} failed: {err}",
-                       err.diagnostics) from err
 
 
 # --------------------------------------------------------------------- #
@@ -827,8 +814,10 @@ def plug_in_fit(model: ModelSpec, data: Dataset, seed: int = 0) -> np.ndarray:
     eigenvalues are made positive, in one more call; a start moves to its best
     length only when that gains.  A start stops when its step promises or gains
     at most ``_MIN_GAIN``, or its stencil is not finite.  The best start's
-    parameters are returned.  Deterministic for a given seed.
+    parameters are returned.  Deterministic for a given seed.  A dataset
+    that :func:`fit` refuses is refused here with the same ValueError.
     """
+    _check_data(model, data)
     rng = np.random.default_rng(seed)
     space = _Unconstrained(model, data)
 

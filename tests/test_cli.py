@@ -328,8 +328,39 @@ class TestFit:
                      "--model", str(workdir / "model.json"),
                      "--out-draws", str(out), "--plug-in", "--seed", "0"]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "theta1,theta2,sigma"
+        assert lines[0] == "theta1,theta2,sigma,chain"
         assert len(lines) == 2
+
+    def test_plug_in_mode_feeds_predict(self, workdir, tmp_path):
+        draws, summary = tmp_path / "plug.csv", tmp_path / "s.json"
+        assert main(["fit", "--data", str(workdir / "data.csv"),
+                     "--model", str(workdir / "model.json"),
+                     "--out-draws", str(draws), "--plug-in", "--seed", "0"]) == 0
+        assert main(["predict", "--draws", str(draws), "--model", str(workdir / "model.json"),
+                     "--x", "0.5", "--per-draw", "4000", "--out-summary", str(summary)]) == 0
+        (entry,) = json.loads(summary.read_text())["results"]
+        assert entry["pi_lower"] < entry["mean"] < entry["pi_upper"]
+
+    @pytest.mark.parametrize("case, message", [
+        ("fractional-outcomes", "bernoulli outcomes must be 0/1"),
+        ("feature-count", "model 'quadratic' takes 1 feature(s), the dataset has 2"),
+    ], ids=["fractional-outcomes", "feature-count"])
+    def test_plug_in_refuses_what_fit_refuses(self, tmp_path, capsys, case, message):
+        data, model_path = tmp_path / "rows.csv", tmp_path / "model.json"
+        if case == "fractional-outcomes":
+            data.write_text("x1,x2,y\n0.1,0.2,0.25\n0.3,0.4,0.75\n")
+            demo.classification_model().save(model_path)
+        else:
+            data.write_text("x1,x2,y\n0.1,0.2,1.0\n0.3,0.4,0.0\n")
+            demo.regression_model("quadratic").save(model_path)
+        errors = []
+        for mode in ([], ["--plug-in"]):
+            rc = main(["fit", "--data", str(data), "--model", str(model_path),
+                       "--out-draws", str(tmp_path / "d.csv"), *mode])
+            assert rc == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {message}\n"
+        assert not (tmp_path / "d.csv").exists()
 
     def test_unconverged_gate(self, workdir, tmp_path):
         # two absurdly short chains on a 4-parameter model will not converge
@@ -633,6 +664,16 @@ class TestDecompose:
                    "--out-summary", str(tmp_path / "s.json")])
         assert rc == 2
         assert "takes 2 features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["2", "0", "1", "-0.5", "nan"])
+    def test_level_outside_unit_interval_writes_nothing(self, cls_fit, tmp_path, capsys, level):
+        rc = main(["decompose", "--draws", str(cls_fit / "draws.csv"),
+                   "--model", str(cls_fit / "cls.json"), "--x", "0.5,0.5",
+                   "--level", level, "--out", str(tmp_path / "dec.json"),
+                   "--out-boundary", str(tmp_path / "band.csv")])
+        assert rc == 2
+        assert "--level must lie in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_is_not_a_flag(self, cls_fit, tmp_path):
         # decompose draws no random numbers

@@ -337,6 +337,13 @@ class TestFit:
         assert err.value.diagnostics is not None
         assert err.value.diagnostics.acceptance == (0.0, 0.0)
 
+    def test_a_stuck_lone_fit_names_its_seed(self, monkeypatch):
+        monkeypatch.setattr(inference, "_INIT_SCALE", 1e12)
+        cfg = FitConfig(chains=2, warmup=1, samples=50, seed=7)
+        with pytest.raises(FitError, match=r"^seed 7: all chains stuck") as err:
+            fit(true_model_spec(), simulate_dataset(20, seed=1), cfg)
+        assert type(err.value) is FitError
+
     def test_thinning_keeps_count(self):
         data = simulate_dataset(30, seed=3)
         draws = fit(true_model_spec(), data, FitConfig(chains=2, warmup=100, samples=60, thin=3, seed=0))
@@ -858,6 +865,22 @@ class TestPlugInFit:
         lp = [log_posterior(model, data, plug_in_fit(model, data, seed=s)) for s in range(20)]
         assert min(lp) >= mode - 1e-8
 
+    @pytest.mark.parametrize("case, message", [
+        ("fractional-outcomes", "bernoulli outcomes must be 0/1"),
+        ("feature-count", "model 'quadratic' takes 1 feature(s), the dataset has 2"),
+    ], ids=["fractional-outcomes", "feature-count"])
+    def test_refuses_the_datasets_fit_refuses(self, case, message):
+        x = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        if case == "fractional-outcomes":
+            model, data = demo.classification_model(), Dataset(x=x, y=np.array([0.25, 0.75, 1.0]))
+        else:
+            model, data = demo.regression_model("quadratic"), Dataset(x=x, y=np.ones(3))
+        for run in (lambda: fit(model, data, FitConfig(chains=2, warmup=10, samples=10)),
+                    lambda: plug_in_fit(model, data, seed=0)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == message
+
     def test_stencil_differences_a_quadratic_and_flags_infinite_points(self):
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
 
@@ -1098,8 +1121,7 @@ class TestLockstep:
         monkeypatch.setattr(inference, "_INIT_SCALE", 1e12)
         data = simulate_dataset(20, seed=1)
         cfg = FitConfig(chains=2, warmup=1, samples=50)
-        with pytest.raises(FitError, match=r"ensemble member with seed 1[12] failed: "
-                                           r"all chains stuck") as err:
+        with pytest.raises(FitError, match=r"seed 1[12]: all chains stuck") as err:
             fit_ensemble(true_model_spec(), [data, simulate_dataset(20, seed=2)], [11, 12], cfg)
         assert err.value.diagnostics.acceptance == (0.0, 0.0)
 
