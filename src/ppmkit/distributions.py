@@ -34,19 +34,38 @@ _NEG_INF = float("-inf")
 
 def normal_logpdf(y, mu, sigma):
     """Elementwise Normal(mu, sigma) log-density; broadcasts all arguments."""
-    z = (np.asarray(y, dtype=float) - mu) / sigma
-    return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
+    return _normal_kernel(y, mu, sigma, None, -np.log(sigma) - 0.5 * _LOG_2PI)
 
 
 def student_t_logpdf(y, mu, sigma, df):
     """Elementwise location-scale Student-t log-density; broadcasts all arguments."""
-    z = (np.asarray(y, dtype=float) - mu) / sigma
-    c = (
-        special.gammaln((df + 1.0) / 2.0)
-        - special.gammaln(df / 2.0)
-        - 0.5 * np.log(df * np.pi)
-    )
-    return c - np.log(sigma) - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+    return _student_t_kernel(y, mu, sigma, df, _student_t_constant(df) - np.log(sigma))
+
+
+# The kernels behind them, given the log normaliser ``c`` (``Family.log_norm``),
+# so that a prior, whose scale is fixed, computes it once.
+
+
+def _normal_kernel(y, mu, sigma, df, c):
+    """c - z^2 / 2, z = (y - mu) / sigma, in z's buffer."""
+    z = np.subtract(y, mu) / sigma
+    z *= z
+    z *= -0.5
+    z += c
+    return z
+
+
+def _student_t_kernel(y, mu, sigma, df, c):
+    """c - (df + 1) / 2 log1p(z^2 / df), z = (y - mu) / sigma."""
+    z = np.subtract(y, mu) / sigma
+    z *= z
+    z /= df
+    return c - 0.5 * (df + 1.0) * np.log1p(z)
+
+
+def _student_t_constant(df):
+    """The log normaliser of a unit-scale Student-t with ``df`` degrees of freedom."""
+    return special.gammaln((df + 1.0) / 2.0) - special.gammaln(df / 2.0) - 0.5 * np.log(df * np.pi)
 
 
 def bernoulli_logpmf(y, p):
@@ -61,6 +80,16 @@ def bernoulli_logpmf(y, p):
     if off.any():
         out = np.where(off, _NEG_INF, out)
     return out if out.ndim else float(out)
+
+
+def _student_t_ppf(p, mu, sigma, df, out=None):
+    """Student-t quantile at ``p``; ``stdtrit(df, 0)`` reads +inf, so p == 0, masked
+    before ``stdtrit`` writes ``out`` (which may be ``p``), is set to -inf in place."""
+    zero = np.equal(p, 0.0)
+    q = np.asarray(special.stdtrit(df, p, out=out))  # a scalar p gives a 0-d array
+    if zero.any():
+        q[zero] = -np.inf
+    return _locate(q, mu, sigma)
 
 
 # --------------------------------------------------------------------- #
@@ -79,12 +108,18 @@ def _locate(z, mu, sigma):
 class Family:
     """An outcome family: ``logpdf``, ``cdf`` and ``ppf`` take ``(y or p, mu, sigma,
     df)`` and ``sample`` takes ``(mu, sigma, df, rng, size)``, ignoring unused ones; a
-    continuous ``ppf`` also takes ``out``, the buffer its quantile is written to."""
+    continuous ``ppf`` also takes ``out``, the buffer its quantile is written to.
+    ``log_norm(sigma, df)`` is the log normaliser, the density's constant term, and
+    ``kernel`` is ``logpdf`` given it, ``(y, mu, sigma, df, log_norm(sigma, df))``:
+    a prior computes it once, and a :class:`DistributionSpec` and the
+    :class:`PriorTable` built from it share the kernel, so both give the same bits."""
 
     logpdf: Callable
     cdf: Callable
     ppf: Callable
     sample: Callable
+    kernel: Callable
+    log_norm: Callable
     continuous: bool = True  # can be truncated
     has_df: bool = False  # takes degrees of freedom df > 0
 
@@ -95,14 +130,16 @@ OUTCOMES = {
         cdf=lambda y, mu, sigma, df: special.ndtr((y - mu) / sigma),
         ppf=lambda p, mu, sigma, df, out=None: _locate(special.ndtri(p, out=out), mu, sigma),
         sample=lambda mu, sigma, df, rng, size: _locate(rng.standard_normal(size), mu, sigma),
+        kernel=_normal_kernel,
+        log_norm=lambda sigma, df: -math.log(sigma) - 0.5 * _LOG_2PI,
     ),
     "student_t": Family(
         logpdf=lambda y, mu, sigma, df: student_t_logpdf(y, mu, sigma, df),
         cdf=lambda y, mu, sigma, df: special.stdtr(df, (y - mu) / sigma),
-        # stdtrit(df, 0) reads +inf, so p == 0 (tested before out overwrites p) is -inf
-        ppf=lambda p, mu, sigma, df, out=None: _locate(np.where(
-            p == 0.0, -np.inf, special.stdtrit(df, p, out=out)), mu, sigma),
+        ppf=_student_t_ppf,
         sample=lambda mu, sigma, df, rng, size: _locate(rng.standard_t(df, size=size), mu, sigma),
+        kernel=_student_t_kernel,
+        log_norm=lambda sigma, df: float(_student_t_constant(df)) - math.log(sigma),
         has_df=True,
     ),
     "bernoulli": Family(
@@ -110,6 +147,8 @@ OUTCOMES = {
         cdf=lambda y, mu, sigma, df: np.where(y < 0.0, 0.0, np.where(y < 1.0, 1.0 - mu, 1.0)),
         ppf=lambda p, mu, sigma, df: np.where(p <= 1.0 - mu, 0.0, 1.0),
         sample=lambda mu, sigma, df, rng, size: (rng.random(size) < mu).astype(float),
+        kernel=lambda y, mu, sigma, df, c: bernoulli_logpmf(y, mu),
+        log_norm=lambda sigma, df: 0.0,
         continuous=False,
     ),
 }
@@ -128,12 +167,6 @@ def sample_values(family, mu, sigma, df, rng, size):
     if family not in OUTCOMES:
         raise ValueError(f"unknown family {family!r}")
     return OUTCOMES[family].sample(mu, sigma, df, rng, size)
-
-
-def _bounded(y, out, lower, upper, log_mass):
-    """A truncated log density from its untruncated one ``out`` at ``y``: ``out``
-    less the log mass inside [lower, upper], and -inf outside."""
-    return np.where((y < lower) | (y > upper), _NEG_INF, out - log_mass)
 
 
 def _truncate(entry, mu, sigma, df, lower, upper):
@@ -214,6 +247,7 @@ class DistributionSpec:
     lower: float | None = None
     upper: float | None = None
     _truncation = None  # not a field: __post_init__ sets it (and _log_mass) when bounded
+    _log_norm = 0.0  # not a field: the kernel's log normaliser, set by __post_init__
 
     def __post_init__(self):
         if BOUNDED.get(self.family, self.family) not in OUTCOMES:
@@ -242,6 +276,7 @@ class DistributionSpec:
             object.__setattr__(self, "_log_mass", np.log(t[4]))
         elif self.lower is not None or self.upper is not None:
             raise ValueError("bounds only apply to truncated_normal")
+        object.__setattr__(self, "_log_norm", self._entry.log_norm(self.sigma, self.df))
 
     @property
     def _entry(self) -> Family:
@@ -250,10 +285,13 @@ class DistributionSpec:
     # ---------- densities ----------
 
     def log_density(self, y):
-        """Natural-log density (or mass) at ``y``; -inf off the support."""
-        out = self._entry.logpdf(y, self.mu, self.sigma, self.df)
+        """Natural-log density (or mass) at ``y``; -inf off the support.  A truncated
+        density is the untruncated one less the log mass inside the bounds."""
+        y = np.asarray(y, dtype=float)
+        out = self._entry.kernel(y, self.mu, self.sigma, self.df, self._log_norm)
         if self._truncation is not None:
-            out = _bounded(np.asarray(y, dtype=float), out, *self._truncation[:2], self._log_mass)
+            lo, hi = self._truncation[:2]
+            out = np.where((y < lo) | (y > hi), _NEG_INF, out - self._log_mass)
         return float(out) if np.ndim(out) == 0 else out
 
     def cdf(self, y):
@@ -303,17 +341,17 @@ class DistributionSpec:
 
 class PriorTable:
     """The priors of a parameter vector, built once: per ``OUTCOMES`` family its
-    columns and ``mu``/``sigma``/``df`` vectors, and per column the
-    bounds and log mass (+-inf and 0 where untruncated).  It holds family names,
-    not :class:`Family` entries, so it pickles."""
+    columns and ``mu``/``sigma``/``df`` vectors and each prior's kernel normaliser,
+    and per column the bounds and log mass (+-inf and 0 where untruncated).  It
+    holds family names, not :class:`Family` entries, so it pickles."""
 
     def __init__(self, priors):
         families = np.array([BOUNDED.get(p.family, p.family) for p in priors])
-        self.groups = []  # (family, columns or a slice of all, mu, sigma, df)
+        self.groups = []  # (family, columns or a slice of all, mu, sigma, df, log_norm)
         for family in dict.fromkeys(families.tolist()):
             cols = np.flatnonzero(families == family)
             params = (np.array([getattr(priors[j], key) for j in cols], dtype=float)
-                      for key in ("mu", "sigma", "df"))
+                      for key in ("mu", "sigma", "df", "_log_norm"))
             self.groups.append((family, slice(None) if cols.size == len(priors) else cols, *params))
         self.lower = np.array([-np.inf if p.lower is None else p.lower for p in priors], float)
         self.upper = np.array([np.inf if p.upper is None else p.upper for p in priors], float)
@@ -326,13 +364,14 @@ class PriorTable:
         left to right from 0.0."""
         terms = np.empty(rows.shape)
         for family, cols, *params in self.groups:
-            terms[:, cols] = OUTCOMES[family].logpdf(rows[:, cols], *params)
+            terms[:, cols] = OUTCOMES[family].kernel(rows[:, cols], *params)
         if self.bounded:  # unbounded, x - 0.0 is x and no row is out of bounds
-            terms = _bounded(rows, terms, self.lower, self.upper, self.log_mass)
-        total = 0.0
-        for column in terms.T:
-            total = total + column
-        return total
+            terms -= self.log_mass
+            terms[(rows < self.lower) | (rows > self.upper)] = _NEG_INF
+        # accumulate adds strictly left to right (numpy documents it as that loop);
+        # it starts from the first term, not 0.0 + it: the same bits, as no kernel
+        # term is -0.0
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def normal(mu: float, sigma: float) -> DistributionSpec:

@@ -112,12 +112,17 @@ def mean_values(spec: MeanFunctionSpec, theta, x):
 
     ``theta`` is a vector (k,) or a stack of them, (m, k) or (m, 1, k);
     ``x`` is a scalar or an array that broadcasts against the leading theta
-    axes.  Division by zero propagates as inf/nan for the caller to handle.
+    axes.  A ``linear`` form also scores a draw matrix (m, k) against its data
+    as a design, :func:`design`'s (k, n), or one design per row, (m, k, n):
+    one einsum gives the (m, n) means, each row's bits those of its lone call.
+    Division by zero propagates as inf/nan for the caller to handle.
     """
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
     form = spec.form
     if form == "linear":
+        if theta.ndim == 2 and x.ndim >= 2:  # a design: no BLAS, whose rows mix
+            return np.einsum("mk,kn->mn" if x.ndim == 2 else "mk,mkn->mn", theta, x)
         if spec.n_features == 1:
             return theta[..., 0] + theta[..., 1] * x
         if x.ndim == 1:  # one query (d,) against a vector or a draw matrix
@@ -128,15 +133,31 @@ def mean_values(spec: MeanFunctionSpec, theta, x):
         return theta[..., 0] + (x @ t)[..., 0]
     if form == "quadratic":
         return theta[..., 0] + theta[..., 1] * x + theta[..., 2] * x * x
-    if form == "exp2":
-        return theta[..., 1] * -np.expm1(-theta[..., 0] * x)
-    if form == "exp3":
-        return theta[..., 2] + theta[..., 1] * -np.expm1(-theta[..., 0] * x)
+    if form in ("exp2", "exp3"):
+        # theta2 * -expm1(-theta1 * x) [+ theta3] in one buffer, the sign moved onto
+        # the amplitude or the sum (exact); a 0-d buffer reads back as a scalar
+        out = np.asarray(np.multiply(-theta[..., 0], x))
+        np.expm1(out, out=out)
+        if form == "exp2":
+            return np.multiply(out, -theta[..., 1], out=out)[()]
+        np.multiply(out, theta[..., 1], out=out)
+        return np.subtract(theta[..., 2], out, out=out)[()]
     if form == "michaelis_menten":
         with np.errstate(divide="ignore", invalid="ignore"):
             return theta[..., 0] * x / (theta[..., 1] + x)
     # true_model: bounded between theta2 and theta2 + 1 for theta1 > 0, x >= 0
     return theta[..., 1] + np.tanh(theta[..., 0] * x / 2.0)
+
+
+def design(x) -> np.ndarray:
+    """A linear form's data rows ``x``, (n,) or (n, d), as :func:`mean_values`
+    scores a draw matrix against them: the transposed features under a ones
+    row, (d + 1, n), C-contiguous."""
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(x.shape[0], -1)
+    x1t = np.ones((rows.shape[1] + 1, rows.shape[0]))
+    x1t[1:] = rows.T
+    return x1t
 
 
 @dataclass(frozen=True)

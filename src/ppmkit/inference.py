@@ -17,7 +17,9 @@ call and chains advance at their own pace; the accept tests run on Python
 floats.  The kernel stays fixed within a run,
 so warmup adapts its scales between runs of ``_RUN`` sweeps or steps.
 :func:`log_posterior` scores the priors from the table that a
-:class:`ModelSpec` builds once, one kernel call per prior family.  Chain
+:class:`ModelSpec` builds once, one kernel call per prior family, and folds
+the likelihood into a few array passes over the constants that
+:class:`_Data` builds once per dataset.  Chain
 ``c`` draws only from ``Generator(master_seed + c)``, so its draws do not
 depend on the other chains.  That lets one sampler pass run several fits of
 one model and setting, its members, each a dataset and a seed: every kernel
@@ -52,6 +54,7 @@ from .functions import (
     MeanFunctionSpec,
     VarianceFunctionSpec,
     apply_link,
+    design,
     mean_values,
     sigma_values,
 )
@@ -105,6 +108,7 @@ class ModelSpec:
     name: str = ""
     n_mean_params = n_params = 0  # not fields: the parameter counts, set by __post_init__
     prior_table = None  # not a field: the priors' PriorTable, set by __post_init__
+    log_norm = 0.0  # not a field: the outcome's unit-scale log normaliser, set by __post_init__
 
     def __post_init__(self):
         if self.family not in dist.OUTCOMES:
@@ -145,6 +149,7 @@ class ModelSpec:
         else:
             object.__setattr__(self, "priors", default_priors(self))
         object.__setattr__(self, "prior_table", dist.PriorTable(self.priors))
+        object.__setattr__(self, "log_norm", dist.OUTCOMES[self.family].log_norm(1.0, self.df))
         if not self.name:
             object.__setattr__(self, "name", self.mean.form)
 
@@ -285,7 +290,9 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Retained posterior draws with chain provenance; immutable."""
+    """Retained posterior draws with chain provenance; immutable.  A read-only int64
+    ``chain`` is kept as given, so fits can share one label array; anything else is
+    copied."""
 
     draws: np.ndarray  # (chains * samples, n_params)
     chain: np.ndarray  # (chains * samples,)
@@ -294,13 +301,15 @@ class PosteriorDraws:
 
     def __post_init__(self):
         d = np.array(self.draws, dtype=float)
-        c = np.array(self.chain, dtype=int)
+        c = self.chain
+        if not (type(c) is np.ndarray and c.dtype == np.int64 and not c.flags.writeable):
+            c = np.array(c, dtype=np.int64)  # no caller can change the copy
+            c.flags.writeable = False
         if d.ndim != 2 or d.shape[0] != c.shape[0]:
             raise ValueError("draws must be (rows, params) with one chain label per row")
         if d.shape[1] != len(self.parameter_names):
             raise ValueError("one parameter name per column required")
         d.flags.writeable = False
-        c.flags.writeable = False
         object.__setattr__(self, "draws", d)
         object.__setattr__(self, "chain", c)
         object.__setattr__(self, "parameter_names", tuple(self.parameter_names))
@@ -341,14 +350,25 @@ class PosteriorDraws:
 # --------------------------------------------------------------------- #
 
 
-def log_posterior(model: ModelSpec, data: Dataset, theta):
+def log_posterior(model: ModelSpec, data, theta):
     """Log likelihood plus log prior; -inf anywhere out of support.
 
     ``theta`` is one parameter vector (k,), giving a float, or a draw matrix
     (m, k), giving an (m,) array whose rows equal the vector calls exactly;
     a matrix's priors are scored by ``model.prior_table``.  ``data`` is a
-    dataset every row scores against, or, in a lockstep fit, a matrix's
-    :class:`_Rows`, one dataset's x and y per row.
+    dataset every row scores against, or the :class:`_Data` a fit builds
+    once from it, or, in a lockstep fit, a :class:`_Data` with one
+    dataset's rows per theta row.  A plain dataset is read as the
+    :class:`_Data` built from it, with the same bits.
+
+    The likelihood is folded where the model allows.  A normal or student_t
+    outcome with a constant scale is its kernel summed in a few array
+    passes, its constants taken out of the sum.  A bernoulli outcome with
+    the logit link on 0/1 data is ``sum(y * eta) - sum(log1p(exp(eta)))``
+    on the linear predictor ``eta``; under a linear mean ``sum(y * eta)``
+    is theta times the design times ``y``.  A row whose ``eta`` exceeds
+    about 709 overflows ``exp`` and scores -inf.  Any other model sums its
+    family's kernel.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -356,39 +376,94 @@ def log_posterior(model: ModelSpec, data: Dataset, theta):
     if theta.ndim not in (1, 2) or theta.shape[-1] != model.n_params:
         raise ValueError(f"theta must be a vector or a draw matrix of {model.n_params} columns")
     rows = theta.reshape(-1, model.n_params)
+    if not isinstance(data, _Data):
+        data = _Data.of(model, data)
     with np.errstate(all="ignore"):
-        # (m, n) terms summed over the contiguous data axis, as a lone row would be
-        mu = model.mu(rows[:, None, :], data.x)
-        sigma = model.sigma(rows[:, None, :], mu)
-        out = dist.OUTCOMES[model.family].logpdf(data.y, mu, sigma, model.df).sum(axis=-1)
+        out = _log_likelihood(model, data, rows)
         if theta.ndim == 2:
             logprior = model.prior_table(rows)
         else:  # the same bits prior by prior: bench/tests expects a log_density call each
             logprior = 0.0
             for prior, column in zip(model.priors, rows.T):
                 logprior = logprior + prior.log_density(column)
-        out = out + logprior
+        out += logprior
     # a scale <= 0 (or inf, nan) makes its row's likelihood non-finite, so one
     # mask covers the scale, the likelihood and the priors
     out[~np.isfinite(out)] = _NEG_INF
     return float(out[0]) if theta.ndim == 1 else out
 
 
-# --------------------------------------------------------------------- #
-# Adaptive Metropolis on an unconstrained parameterisation
-# --------------------------------------------------------------------- #
+def _log_likelihood(model: ModelSpec, data: "_Data", rows):
+    """Each row's log likelihood, (m,), folded as :func:`log_posterior` says;
+    unmasked, so a row out of support may read NaN or +inf.  Every fold is
+    chosen here; a row's sum does not depend on the rows beside it."""
+    k = model.n_mean_params
+    # (m, n) terms summed over the contiguous data axis, as a lone row would be
+    theta_mu = rows[:, :k] if data.xty is not None else rows[:, None, :k]
+    eta = mean_values(model.mean, theta_mu, data.x)
+    if model.mean_link == "logit" and data.binary:
+        if data.xty is None:
+            y_eta = (eta * data.y).sum(axis=-1)
+        else:  # theta . (design @ y), each row against its own xty in lockstep
+            y_eta = np.einsum("mk,k->m" if data.xty.ndim == 1 else "mk,mk->m", theta_mu, data.xty)
+        return y_eta - np.log1p(np.exp(eta, out=eta), out=eta).sum(axis=-1)
+    mu = eta if model.mean_link == "identity" else apply_link(model.mean_link, eta)
+    if model.family != "bernoulli" and model.variance.form == "constant":
+        # r = mu - y in mu's buffer, one scale per row; c is the unit-scale log_norm
+        r, sigma, c = np.subtract(mu, data.y, out=mu), rows[:, k], model.log_norm
+        n = r.shape[-1]
+        if model.family == "normal":  # -1/2 sum r^2 / sigma^2 - n log sigma + n c
+            return -0.5 * np.einsum("mn,mn->m", r, r) / (sigma * sigma) - n * np.log(sigma) + n * c
+        # student_t: n (c - log sigma) - (df + 1) / 2 sum log1p(r^2 / (df sigma^2))
+        np.square(r, out=r)
+        r *= (1.0 / (model.df * sigma * sigma))[:, None]
+        return n * (c - np.log(sigma)) - 0.5 * (model.df + 1.0) * np.log1p(r, out=r).sum(axis=-1)
+    sigma = model.sigma(rows[:, None, :], mu)
+    return dist.OUTCOMES[model.family].logpdf(data.y, mu, sigma, model.df).sum(axis=-1)
 
 
-class _Rows(NamedTuple):
-    """The data of a lockstep density call: row ``i`` of theta scores against
-    ``x[i]`` and ``y[i]``, its own member's dataset."""
+class _Data(NamedTuple):
+    """A dataset as :func:`log_posterior` reads it, with its constants built once:
+    ``x``, the mean's input (a linear form's :func:`~ppmkit.functions.design`, else
+    the features), ``y``, ``xty``, the design times ``y`` (a linear form's only,
+    else None), and ``binary``, whether a bernoulli model's outcomes are all 0 or
+    1.  In a lockstep call ``x``, ``y`` and ``xty`` hold one row per theta row,
+    its own member's, and ``binary`` covers every member."""
 
     x: np.ndarray
     y: np.ndarray
+    xty: np.ndarray | None
+    binary: bool
+
+    @classmethod
+    def of(cls, model: ModelSpec, dataset: Dataset) -> "_Data":
+        y = dataset.y
+        binary = model.family == "bernoulli" and bool(((y == 0.0) | (y == 1.0)).all())
+        if model.mean.form != "linear":
+            return cls(dataset.x, y, None, binary)
+        x1t = design(dataset.x)
+        return cls(x1t, y, x1t @ y, binary)
+
+    @classmethod
+    def stacked(cls, members: list["_Data"]) -> "_Data":
+        """One row per member: index it with :meth:`take`."""
+        x, y, xty, binary = zip(*members)
+        return cls(np.stack(x), np.stack(y), None if xty[0] is None else np.stack(xty),
+                   all(binary))
 
     @property
     def n(self) -> int:
         return self.y.shape[-1]
+
+    def take(self, index) -> "_Data":
+        """The rows ``index`` of a lockstep call's data."""
+        return _Data(self.x[index], self.y[index],
+                     None if self.xty is None else self.xty[index], self.binary)
+
+
+# --------------------------------------------------------------------- #
+# Adaptive Metropolis on an unconstrained parameterisation
+# --------------------------------------------------------------------- #
 
 
 class _Unconstrained:
@@ -410,21 +485,26 @@ class _Unconstrained:
 
     ``data`` may also be a list of datasets of one size, one per member of a
     lockstep fit, whose chains are consecutive blocks of ``chains`` rows.
+    Each member's dataset is read once into a :class:`_Data`, ``members``.
     When they are one dataset every row scores against it; otherwise
     :meth:`gather` lays out each row's own member's data.
     """
 
     def __init__(self, model: ModelSpec, data, chains: int = 1):
         datasets = data if isinstance(data, list) else [data]
-        self.model, self.data, self.chains = model, datasets[0], chains
+        self.model, self.chains = model, chains
+        self.data = _Data.of(model, datasets[0])
+        self.members = [self.data if d is datasets[0] else _Data.of(model, d) for d in datasets]
         self.stack = None
-        if any(d is not self.data for d in datasets):
-            self.stack = _Rows(np.stack([d.x for d in datasets]), np.stack([d.y for d in datasets]))
+        if any(d is not datasets[0] for d in datasets):
+            self.stack = _Data.stacked(self.members)
         lower, upper = model.prior_table.lower, model.prior_table.upper
         has_lo, has_hi = np.isfinite(lower), np.isfinite(upper)
         self.one = np.flatnonzero(has_lo != has_hi)
         self.bound = np.where(has_lo, lower, upper)[self.one]
         self.sign = np.where(has_lo, 1.0, -1.0)[self.one]
+        # every one-bound column is bounded below at 0: theta is exp(u) there
+        self.exp_only = not self.bound.any() and bool((self.sign > 0.0).all())
         self.two = np.flatnonzero(has_lo & has_hi)
         self.lower = lower[self.two]
         self.width = (upper - lower)[self.two]
@@ -440,30 +520,29 @@ class _Unconstrained:
         return log_posterior(self.model, self.data if rows is None else rows, theta) + log_jac
 
     def gather(self, depth):
-        """Each row's data when each chain has ``depth`` consecutive rows, as
-        :class:`_Rows`, or None when every member shares one dataset."""
+        """Each row's data when each chain has ``depth`` consecutive rows, as a
+        lockstep :class:`_Data`, or None when every member shares one dataset."""
         if self.stack is None:
             return None
-        member = np.repeat(np.arange(len(self.stack.y)), self.chains * depth)
-        return _Rows(self.stack.x[member], self.stack.y[member])
+        return self.stack.take(np.repeat(np.arange(len(self.stack.y)), self.chains * depth))
 
     def constrain(self, u):
         """Parameter rows of unconstrained rows ``u`` (m, k), and the log
         Jacobian ``log |d theta / d u|`` of each row, (m,), or 0.0 when no
         parameter is bounded."""
         theta, log_jac = (u.copy() if self.one.size or self.two.size else u), 0.0
-        if self.one.size:
-            one = u[:, self.one]
-            with np.errstate(over="ignore"):
-                theta[:, self.one] = self.bound + self.sign * np.exp(one)
-            log_jac = one.sum(axis=1)
-        if self.two.size:
-            two = u[:, self.two]
-            theta[:, self.two] = self.lower + self.width * special.expit(two)
-            log_jac = log_jac + np.sum(self.log_width + special.log_expit(two)
-                                       + special.log_expit(-two), axis=1)
-        if self.rise:  # theta1 is bounded, so theta is a copy and log_jac an array
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # exp overflows to inf; a divisor may be 0 or NaN
+            if self.one.size:
+                one = u[:, self.one]
+                bounded = np.exp(one)
+                theta[:, self.one] = bounded if self.exp_only else self.bound + self.sign * bounded
+                log_jac = one.sum(axis=1)
+            if self.two.size:
+                two = u[:, self.two]
+                theta[:, self.two] = self.lower + self.width * special.expit(two)
+                log_jac = log_jac + np.sum(self.log_width + special.log_expit(two)
+                                           + special.log_expit(-two), axis=1)
+            if self.rise:  # theta1 is bounded, so theta is a copy and log_jac an array
                 divisor = -np.expm1(-theta[:, 0])  # in [0, 1], or NaN
                 theta[:, 1] = u[:, 1] / divisor
                 log_jac = log_jac - np.where(divisor > 0.0, np.log(divisor), np.inf)
@@ -479,7 +558,7 @@ class _Unconstrained:
         return u
 
 
-def _init_from_priors(model: ModelSpec, data: Dataset, rngs, candidates=1):
+def _init_from_priors(model: ModelSpec, data: _Data, rngs, candidates=1):
     """For each generator, the best of ``candidates`` prior draws by log posterior,
     as a (len(rngs), k) matrix, its log posteriors and the density calls made; a
     generator draws again only while all its candidates are out of support."""
@@ -535,6 +614,18 @@ def _noise(rngs, steps, width):
     return z, log_u
 
 
+_LABELS = {}  # (chains, samples): the read-only chain labels every such fit shares
+
+
+def _chain_labels(chains, samples):
+    """Chain ``c``'s label on its ``samples`` rows, read-only, one array per shape."""
+    labels = _LABELS.get((chains, samples))
+    if labels is None:
+        labels = _LABELS[chains, samples] = np.repeat(np.arange(chains, dtype=np.int64), samples)
+        labels.flags.writeable = False
+    return labels
+
+
 def _metropolis(density, u, lp, incr, log_u):
     """Run each chain (row of ``u``, log density ``lp``) through the steps of
     ``incr`` (chains, n, k): step ``t`` of chain ``c`` proposes the chain's state
@@ -572,7 +663,7 @@ def _metropolis(density, u, lp, incr, log_u):
             keep = (np.arange(depth) < np.array(ahead)[:, None]).ravel()
             proposal = proposal[keep]
             if data is not None:
-                data = _Rows(data.x[keep], data.y[keep])
+                data = data.take(keep)
         lp_new = (density(proposal) if data is None else density(proposal, data)).tolist()
         first = 0  # the chain's first row in lp_new
         for c, t in enumerate(pos):
@@ -679,7 +770,7 @@ def fit_ensemble(
     rngs = [np.random.default_rng(s + c) for s in seeds for c in range(config.chains)]
     density = _Unconstrained(model, datasets, config.chains)
     starts = []
-    for dataset, seed, member in zip(datasets, seeds, members):
+    for dataset, seed, member in zip(density.members, seeds, members):
         try:
             starts.append(_init_from_priors(model, dataset, rngs[member], _INIT_CANDIDATES))
         except FitError as err:
@@ -749,7 +840,7 @@ def fit_ensemble(
 
     # the stuck check and the diagnostics, member by member
     names = model.parameter_names
-    chain = np.repeat(np.arange(config.chains), config.samples)
+    chain = _chain_labels(config.chains, config.samples)
     fits = []
     for seed, member, made in zip(seeds, members, calls.tolist()):
         acceptance = tuple((accepted[member] / steps).tolist())
@@ -822,9 +913,9 @@ def plug_in_fit(model: ModelSpec, data: Dataset, seed: int = 0) -> np.ndarray:
     space = _Unconstrained(model, data)
 
     def density(u):
-        return log_posterior(model, data, space.constrain(u)[0])
+        return log_posterior(model, space.data, space.constrain(u)[0])
 
-    u = space.unconstrain(_init_from_priors(model, data, [rng] * _PLUG_IN_RESTARTS)[0])
+    u = space.unconstrain(_init_from_priors(model, space.data, [rng] * _PLUG_IN_RESTARTS)[0])
     lp = np.empty(len(u))
     lengths = 0.5 ** np.arange(_HALVINGS)[:, None]
     moving = np.arange(len(u))

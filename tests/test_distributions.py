@@ -560,6 +560,7 @@ class TestInPlaceBits:
         assert expected[0] == expected[2] == -np.inf
         buffer = p.copy()
         got = OUTCOMES["student_t"].ppf(buffer, 0.3, 1.4, 4.0, out=buffer)
+        assert got is buffer
         assert np.array_equal(got, expected)
         # a truncated draw at u == 0 with no lower bound is the -inf lower end
         truncation = distributions._truncate(OUTCOMES["student_t"], 0.3, 1.4, 4.0, None, 2.0)

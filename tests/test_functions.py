@@ -13,7 +13,7 @@ from ppmkit import (
     apply_link,
     softplus,
 )
-from ppmkit.functions import ZERO_ONE_LINKS, mean_values, sigma_values
+from ppmkit.functions import ZERO_ONE_LINKS, design, mean_values, sigma_values
 
 TM_AT_1 = 1.1253462253117410796  # 0.2 + tanh(1.625), mpmath
 CLOGLOG_AT_0 = 0.6321205588285576784  # 1 - 1/e
@@ -74,6 +74,35 @@ class TestMeanForms:
         spec = MeanFunctionSpec("linear", n_features=2)
         assert spec.parameter_count == 3
         assert mean_values(spec, [0.5, 1.0, -2.0], np.array([2.0, 3.0])) == pytest.approx(-3.5)
+
+    @pytest.mark.parametrize("features", [1, 2])
+    def test_linear_design_matches_the_row_form(self, features):
+        # a draw matrix against the design is one einsum, each row its lone call's bits
+        spec = MeanFunctionSpec("linear", n_features=features)
+        rng = np.random.default_rng(features)
+        x = rng.uniform(-3.0, 3.0, (50, features)).squeeze()
+        theta = rng.normal(size=(9, features + 1))
+        x1t = design(x)
+        assert x1t.shape == (features + 1, 50) and x1t.flags.c_contiguous
+        got = mean_values(spec, theta, x1t)
+        np.testing.assert_allclose(got, mean_values(spec, theta[:, None, :], x), rtol=1e-13,
+                                   atol=1e-13)
+        for row, values in zip(theta, got):
+            assert np.array_equal(mean_values(spec, row[None], x1t)[0], values)
+        per_row = mean_values(spec, theta, np.broadcast_to(x1t, (9, *x1t.shape)).copy())
+        assert np.array_equal(per_row, got)
+
+    @pytest.mark.parametrize("form", ["exp2", "exp3"])
+    def test_exponential_forms_in_place_keep_their_bits(self, form):
+        k = 3 if form == "exp3" else 2
+        theta = np.random.default_rng(4).normal(1.0, 0.5, size=(6, 1, k))
+        x = np.linspace(0.0, 1.0, 40)
+        expected = theta[..., 1] * -np.expm1(-theta[..., 0] * x)
+        if form == "exp3":
+            expected = theta[..., 2] + expected
+        assert np.array_equal(mean_values(MeanFunctionSpec(form), theta, x), expected)
+        assert np.array_equal(mean_values(MeanFunctionSpec(form), theta[0, 0], x), expected[0])
+        assert type(mean_values(MeanFunctionSpec(form), theta[0, 0], 0.5)) is np.float64
 
     def test_multi_feature_only_for_linear(self):
         with pytest.raises(ValueError):

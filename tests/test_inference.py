@@ -207,7 +207,12 @@ class TestLogPosterior:
         matrix = log_posterior(model, data, rows)
         assert matrix.shape == (40,)
         np.testing.assert_array_equal(matrix, [log_posterior(model, data, r) for r in rows])
-        assert np.isneginf(matrix[:4]).any() and np.isfinite(matrix).any()
+        # the folded logistic likelihood scores row 3 by its finite log mass
+        if kind == "logistic":
+            assert np.isfinite(matrix[:4]).all()
+        else:
+            assert np.isneginf(matrix[:4]).any()
+        assert np.isfinite(matrix).any()
 
     def test_three_dimensional_theta_is_an_error(self):
         model = true_model_spec()
@@ -233,12 +238,10 @@ def mixed_prior_case():
 
 
 def per_prior_log_posterior(model, data, rows):
-    """The likelihood plus each prior's ``log_density`` of its column, added left
-    to right; -inf where that is not finite."""
+    """The folded likelihood plus each prior's ``log_density`` of its column, added
+    left to right; -inf where that is not finite."""
     with np.errstate(all="ignore"):
-        mu = model.mu(rows[:, None, :], data.x)
-        family = distributions.OUTCOMES[model.family]
-        out = family.logpdf(data.y, mu, model.sigma(rows[:, None, :], mu), model.df).sum(axis=-1)
+        out = inference._log_likelihood(model, inference._Data.of(model, data), rows)
         logprior = 0.0
         for j, prior in enumerate(model.priors):
             logprior = logprior + prior.log_density(rows[:, j])
@@ -281,6 +284,51 @@ class TestPriorTable:
         rows = np.random.default_rng(3).normal(0.5, 1.0, size=(20, model.n_params))
         np.testing.assert_array_equal(log_posterior(back, data, rows),
                                       log_posterior(model, data, rows))
+
+
+def elementwise_log_posterior(model, data, rows):
+    """Each row's log posterior from the unfolded kernels: the family's elementwise
+    log density at the linked mean, summed over the data, plus each prior's
+    ``log_density``; -inf where that is not finite."""
+    with np.errstate(all="ignore"):
+        mu = model.mu(rows[:, None, :], data.x)
+        family = distributions.OUTCOMES[model.family]
+        out = family.logpdf(data.y, mu, model.sigma(rows[:, None, :], mu), model.df).sum(axis=-1)
+        out = out + sum(prior.log_density(rows[:, j]) for j, prior in enumerate(model.priors))
+    return np.where(np.isfinite(out), out, -np.inf)
+
+
+class TestFoldedLikelihood:
+    @pytest.mark.parametrize("kind", DEMO_KINDS + ["student_t", "mixed"])
+    def test_matches_the_elementwise_kernels(self, kind):
+        model, data = mixed_prior_case() if kind == "mixed" else density_case(kind)
+        rng = np.random.default_rng(11)
+        if kind == "logistic":  # near the data's coefficients, where 1 - p keeps its digits
+            rows = rng.normal(demo.CLASSIFICATION_COEF, 0.5, size=(60, 3))
+            rows[:2] = 60.0  # saturated: p rounds to 1 at a y = 0 row
+        else:
+            rows = np.column_stack([p.sample(rng, 60) for p in model.priors])
+            rows[:4, 0] = [-1.0, -1e-300, 0.0, 1e-300]  # either side of a lower bound at 0
+            rows[4:6, -1] = [-0.5, 0.0]  # a constant scale at or below 0
+        got = log_posterior(model, data, rows)
+        expected = elementwise_log_posterior(model, data, rows)
+        finite = np.isfinite(expected)
+        assert finite.sum() > 40
+        np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-12, atol=0.0)
+        saturated = np.zeros(60, bool)
+        if kind == "logistic":
+            saturated[:2] = True
+            assert np.isfinite(got[:2]).all() and np.isneginf(expected[:2]).all()
+        np.testing.assert_array_equal(np.isneginf(got[~saturated]), ~finite[~saturated])
+
+    def test_saturated_logistic_row_scores_its_log_mass(self):
+        model, data = density_case("logistic")
+        theta = np.full(3, 60.0)
+        eta = theta[0] + data.x @ theta[1:]
+        assert eta.max() > 37.0 and (data.y[eta > 37.0] == 0.0).any()  # p reads 1 there
+        expected = (np.sum(data.y * eta - np.logaddexp(0.0, eta))
+                    + sum(p.log_density(v) for p, v in zip(model.priors, theta)))
+        assert log_posterior(model, data, theta) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFit:
@@ -743,6 +791,25 @@ class TestPosteriorDrawsContainer:
         assert dataclasses.replace(again, acceptance=draws.diagnostics.acceptance,
                                    density_calls=draws.diagnostics.density_calls) == \
             draws.diagnostics
+
+    def test_fits_of_one_shape_share_read_only_chain_labels(self):
+        cfg = FitConfig(chains=2, warmup=50, samples=50, seed=0)
+        a = fit(true_model_spec(), simulate_dataset(20, seed=1), cfg)
+        b = fit(demo.regression_model("exp2"), simulate_dataset(20, seed=2),
+                dataclasses.replace(cfg, seed=7))
+        assert a.chain is b.chain and a.chain.dtype == np.int64
+        assert not a.chain.flags.writeable
+        np.testing.assert_array_equal(a.chain, np.repeat([0, 1], 50))
+        labels = np.repeat(np.arange(2), 50)  # writeable, so copied
+        kept = PosteriorDraws(draws=a.draws, chain=labels, parameter_names=a.parameter_names)
+        assert kept.chain is not labels and not kept.chain.flags.writeable
+
+    def test_labels_read_from_csv_are_ints(self, tmp_path):
+        draws = fit(true_model_spec(), simulate_dataset(20, seed=1),
+                    FitConfig(chains=2, warmup=50, samples=50, seed=0))
+        draws.to_csv(tmp_path / "draws.csv")
+        back = PosteriorDraws.from_csv(tmp_path / "draws.csv")
+        assert back.chain.dtype == np.int64 and not back.chain.flags.writeable
 
     def test_by_chain_refuses_unequal_chains(self):
         d = PosteriorDraws(draws=np.zeros((5, 1)), chain=[0, 0, 0, 1, 1], parameter_names=("a",))
